@@ -109,13 +109,12 @@ RUNNERS = [
     experiments.a02_mask_strategy,
     experiments.a03_backend_crossover,
     experiments.a04_wilkins_hybrid,
-    experiments.a05_incremental_updates,
 ]
 
 #: The sub-second correctness tier (mirrors tests/test_experiments_fast.py
 #: plus the exact-output E13): deterministic counters, no timing sweeps --
 #: what CI gates on.
-SMOKE_IDENTS = {"E6", "E7", "E8", "E9", "E10", "E12", "E13", "E14", "E15", "E17", "A5"}
+SMOKE_IDENTS = {"E6", "E7", "E8", "E9", "E10", "E12", "E13", "E14", "E15", "E17"}
 
 
 def runner_ident(runner) -> str:

@@ -43,7 +43,6 @@ __all__ = [
     "a02_mask_strategy",
     "a03_backend_crossover",
     "a04_wilkins_hybrid",
-    "a05_incremental_updates",
     "e01_assert_linear",
     "e02_combine_quadratic",
     "e03_complement_exponential",
@@ -992,7 +991,6 @@ def all_experiments() -> list[Report]:
         a02_mask_strategy(),
         a03_backend_crossover(),
         a04_wilkins_hybrid(),
-        a05_incremental_updates(),
     ]
 
 
@@ -1333,132 +1331,5 @@ def a04_wilkins_hybrid(seed: int = 47, inserts: int = 24) -> Report:
         agree
         and aux_counts["eager"] == 0
         and aux_counts["never"] == 2 * inserts
-    )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# A5 -- ablation: incremental closure maintenance on update sequences
-# ---------------------------------------------------------------------------
-
-def a05_incremental_updates(
-    seed: int = 29, lengths: tuple[int, ...] = (6, 12, 24)
-) -> Report:
-    """Delta-driven saturation vs per-step scratch recomputation.
-
-    An E10/E16-style update sequence -- a random single-clause
-    insert/delete walk -- queries the resolution closure and the prime
-    implicates after every step.  The scratch arm re-saturates from
-    nothing each time, so its cumulative kernel work grows ~linearly in
-    sequence length; the incremental arm pays only each step's delta
-    frontier, so its cumulative work is sublinear (the closure is built
-    once and then maintained).  Work is the shared
-    ``logic.resolution.resolvents_formed`` counter, deterministic on the
-    seeded walk; both arms must return bit-identical results at every
-    step.  Global cache/incremental switches are saved, forced off, and
-    restored, so the verdict is identical under ``--cache --jobs N``.
-    """
-    from repro.cache import core as cache_mod
-    from repro.logic import incremental
-    from repro.logic.implicates import prime_implicates
-    from repro.logic.resolution import resolution_closure
-
-    report = Report(
-        ident="A5",
-        title="Ablation: incremental closure maintenance on update sequences",
-        claim=(
-            "maintaining closures under single-clause deltas makes an "
-            "update sequence's cumulative closure work sublinear in its "
-            "length, at bit-identical results"
-        ),
-        columns=("arm", "steps", "resolvents formed", "queries"),
-    )
-    vocabulary = Vocabulary.standard(7)
-
-    def walk(length: int):
-        """The first ``length`` states of the seeded insert/delete walk
-        (deterministic, shared by both arms)."""
-        rng = random.Random(seed)
-        current: set[frozenset[int]] = set()
-        states = []
-        while len(states) < length:
-            if current and rng.random() < 0.3:
-                current.discard(rng.choice(sorted(current, key=sorted)))
-            else:
-                width = rng.randint(1, 3)
-                letters = rng.sample(range(7), width)
-                current.add(
-                    frozenset(
-                        make_literal(i, rng.random() < 0.5) for i in letters
-                    )
-                )
-            states.append(ClauseSet(vocabulary, current))
-        return states
-
-    def run_arm(length: int, incremental_on: bool):
-        if incremental_on:
-            incremental.reset_incremental()
-            incremental.enable_incremental()
-        else:
-            incremental.disable_incremental()
-        try:
-            results = []
-            for state in walk(length):
-                results.append(
-                    (resolution_closure(state), prime_implicates(state))
-                )
-            return results
-        finally:
-            incremental.disable_incremental()
-            incremental.reset_incremental()
-
-    cache_was_on = cache_mod.cache_enabled()
-    incremental_was_on = incremental.incremental_enabled()
-    cache_mod.disable_cache()
-    incremental.disable_incremental()
-    try:
-        work: dict[bool, list[int]] = {False: [], True: []}
-        identical = True
-        for length in lengths:
-            per_arm: dict[bool, list] = {}
-            for incremental_on in (False, True):
-                with obs.enabled():
-                    before = obs.counters().snapshot()
-                    per_arm[incremental_on] = run_arm(length, incremental_on)
-                    delta = obs.counters().delta(before)
-                report.merge_counters(delta)
-                formed = delta.get("logic.resolution.resolvents_formed", 0)
-                work[incremental_on].append(formed)
-                report.add_row(
-                    "incremental" if incremental_on else "scratch",
-                    length,
-                    formed,
-                    2 * length,
-                )
-            identical = identical and per_arm[False] == per_arm[True]
-    finally:
-        incremental.reset_incremental()
-        if cache_was_on:
-            cache_mod.enable_cache()
-        if incremental_was_on:
-            incremental.enable_incremental()
-
-    scratch_slope = fit_loglog_slope(lengths, work[False])
-    incremental_slope = fit_loglog_slope(lengths, work[True])
-    report.metrics["scratch_work_slope"] = scratch_slope
-    report.metrics["incremental_work_slope"] = incremental_slope
-    report.metrics["work_ratio_at_max"] = work[False][-1] / max(
-        work[True][-1], 1
-    )
-    report.observed = (
-        f"bit-identical results: {identical}; cumulative-work slopes "
-        f"scratch {scratch_slope:.2f} vs incremental "
-        f"{incremental_slope:.2f}; {report.metrics['work_ratio_at_max']:.1f}x "
-        f"less work at {lengths[-1]} steps"
-    )
-    report.holds = (
-        identical
-        and incremental_slope < scratch_slope - 0.2
-        and work[True][-1] < work[False][-1]
     )
     return report

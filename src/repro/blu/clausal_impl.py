@@ -35,7 +35,6 @@ from repro.blu.clausal_genmask import clausal_genmask
 from repro.blu.clausal_mask import clausal_mask
 from repro.blu.implementation import Implementation
 from repro.errors import VocabularyMismatchError
-from repro.logic import incremental
 from repro.logic.clauses import Clause, ClauseSet, clause_is_tautologous
 from repro.logic.propositions import Vocabulary
 
@@ -172,11 +171,6 @@ class ClausalImplementation(Implementation):
             obs.inc("blu.c.assert.calls")
             obs.inc("blu.c.assert.clauses_out", len(result))
             obs.observe("blu.c.state_clauses", len(result))
-            if incremental._ENABLED:
-                # Assert outputs feed the next operator in an update
-                # sequence: keeping their lineage warm is what makes a
-                # BLU program's intermediate states delta-maintained.
-                incremental.touch(result)
             return result
 
     def op_combine(self, state: ClauseSet, other: ClauseSet) -> ClauseSet:
@@ -200,8 +194,6 @@ class ClausalImplementation(Implementation):
             result = clausal_mask(state, mask, simplify=self._simplify)
             obs.inc("blu.c.mask.calls")
             obs.observe("blu.c.state_clauses", len(result))
-            if incremental._ENABLED:
-                incremental.touch(result)
             return result
 
     def op_genmask(self, state: ClauseSet) -> frozenset[int]:

@@ -53,7 +53,6 @@ __all__ = [
     "cache_stats",
     "merge_stats",
     "lookup",
-    "peek",
     "store",
 ]
 
@@ -124,11 +123,7 @@ class KernelCache:
             self._entries.move_to_end(key)
             self._entries[key] = value
             return
-        while len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            obs.inc(f"cache.{self.name}.evictions")
-            runtime.count("cache.evictions")
+        self._evict_down_to(self.capacity - 1)
         self._entries[key] = value
 
     def resize(self, capacity: int) -> None:
@@ -136,10 +131,16 @@ class KernelCache:
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        while len(self._entries) > capacity:
+        self._evict_down_to(capacity)
+
+    def _evict_down_to(self, size: int) -> None:
+        """Evict LRU entries until at most ``size`` remain, tallying each
+        eviction locally, in ``repro.obs`` and in telemetry."""
+        while len(self._entries) > size:
             self._entries.popitem(last=False)
             self.evictions += 1
             obs.inc(f"cache.{self.name}.evictions")
+            runtime.count("cache.evictions")
 
     def clear(self) -> None:
         """Drop every entry and zero the tallies."""
@@ -252,23 +253,6 @@ def lookup(kernel: str, key):
     if not _ENABLED:
         return MISS
     return _cache(kernel).lookup(key)
-
-
-def peek(kernel: str, key):
-    """A side-effect-free probe: the memoised value or :data:`MISS`.
-
-    Unlike :func:`lookup`, a peek tallies nothing and does not refresh
-    the entry's LRU position -- it is for *validation*, not retrieval:
-    :mod:`repro.logic.incremental` cross-checks maintained closures
-    against from-scratch cached results without perturbing the hit/miss
-    counters the bench gates compare.
-    """
-    if not _ENABLED:
-        return MISS
-    found = _CACHES.get(kernel)
-    if found is None:
-        return MISS
-    return found._entries.get(key, MISS)
 
 
 def store(kernel: str, key, value) -> None:

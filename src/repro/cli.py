@@ -1097,166 +1097,6 @@ def audit_main(argv: list[str]) -> int:
     return 0
 
 
-def incremental_diff_main(argv: list[str]) -> int:
-    """``python -m repro.cli incremental-diff``: differential closure gate.
-
-    Runs seeded random insert/delete walks and checks, at every step,
-    that the incrementally maintained kernels (resolution closure, prime
-    implicates, reduce, pivot-restricted closure) agree bit-for-bit with
-    scratch recomputation -- including budget overflows, which must
-    raise on exactly the same states.  Exits 0 when every comparison
-    agrees, 1 on any divergence.
-    """
-    import random
-
-    from repro.cache import core as cache_mod
-    from repro.errors import ClosureBudgetError
-    from repro.logic import incremental
-    from repro.logic.clauses import ClauseSet, make_literal
-    from repro.logic.implicates import prime_implicates
-    from repro.logic.propositions import Vocabulary
-    from repro.logic.resolution import rclosure, resolution_closure
-
-    parser = argparse.ArgumentParser(
-        prog="repro-hlu incremental-diff",
-        description="Randomized incremental-vs-scratch closure differential.",
-    )
-    parser.add_argument(
-        "--sequences",
-        type=int,
-        default=60,
-        metavar="N",
-        help="number of random update sequences to run (default 60)",
-    )
-    parser.add_argument(
-        "--steps",
-        type=int,
-        default=8,
-        metavar="N",
-        help="insert/delete steps per sequence (default 8)",
-    )
-    parser.add_argument(
-        "--max-letters",
-        type=int,
-        default=9,
-        metavar="N",
-        help="vocabulary sizes are drawn from 3..N (default 9)",
-    )
-    parser.add_argument(
-        "--budget-every",
-        type=int,
-        default=5,
-        metavar="K",
-        help="every Kth sequence runs under a tight closure budget to "
-        "exercise overflow parity (0 disables; default 5)",
-    )
-    parser.add_argument("--seed", type=int, default=2029)
-    options = parser.parse_args(argv)
-    if options.sequences < 1 or options.steps < 1 or options.max_letters < 3:
-        parser.error("--sequences/--steps must be >= 1, --max-letters >= 3")
-
-    def outcome(fn):
-        """Result of ``fn()``, with budget overflow as a comparable token."""
-        try:
-            return fn()
-        except ClosureBudgetError as error:
-            return ("budget", error.budget)
-
-    def walk(rng: random.Random, letters: int, steps: int):
-        vocabulary = Vocabulary.standard(letters)
-        current: set[frozenset[int]] = set()
-        states = []
-        for _ in range(steps):
-            if current and rng.random() < 0.4:
-                current.discard(rng.choice(sorted(current, key=sorted)))
-            else:
-                width = rng.randint(1, min(3, letters))
-                chosen = rng.sample(range(letters), width)
-                current.add(
-                    frozenset(
-                        make_literal(i, rng.random() < 0.5) for i in chosen
-                    )
-                )
-            states.append(ClauseSet(vocabulary, current))
-        return states
-
-    cache_was_on = cache_mod.cache_enabled()
-    incremental_was_on = incremental.incremental_enabled()
-    cache_mod.disable_cache()
-    incremental.disable_incremental()
-    incremental.reset_incremental()
-    mismatches = 0
-    comparisons = 0
-    try:
-        for sequence in range(options.sequences):
-            rng = random.Random(options.seed + sequence)
-            letters = rng.randint(3, options.max_letters)
-            budget = None
-            if options.budget_every and sequence % options.budget_every == 0:
-                budget = rng.randint(2, 6)
-            pivots = tuple(
-                sorted(rng.sample(range(letters), rng.randint(1, 2)))
-            )
-            incremental.reset_incremental()
-            for step, state in enumerate(
-                walk(rng, letters, options.steps)
-            ):
-                kernels = [
-                    ("reduce", lambda s=state: s.reduce()),
-                    ("rclosure", lambda s=state: rclosure(s, pivots)),
-                ]
-                if budget is None:
-                    kernels += [
-                        (
-                            "resolution_closure",
-                            lambda s=state: resolution_closure(s),
-                        ),
-                        (
-                            "prime_implicates",
-                            lambda s=state: prime_implicates(s),
-                        ),
-                    ]
-                else:
-                    kernels.append(
-                        (
-                            f"resolution_closure[{budget}]",
-                            lambda s=state: resolution_closure(
-                                s, max_clauses=budget
-                            ),
-                        )
-                    )
-                for name, kernel in kernels:
-                    incremental.disable_incremental()
-                    expected = outcome(kernel)
-                    incremental.enable_incremental()
-                    routed = outcome(kernel)
-                    comparisons += 1
-                    if routed != expected:
-                        mismatches += 1
-                        print(
-                            f"MISMATCH seq {sequence} step {step} "
-                            f"{name}: state {state} -> scratch "
-                            f"{expected!r} vs incremental {routed!r}",
-                            file=sys.stderr,
-                        )
-    finally:
-        incremental.disable_incremental()
-        incremental.reset_incremental()
-        if cache_was_on:
-            cache_mod.enable_cache()
-        if incremental_was_on:
-            incremental.enable_incremental()
-    print(
-        f"incremental-diff: {options.sequences} sequence(s) x "
-        f"{options.steps} step(s), {comparisons} comparison(s), "
-        f"{mismatches} mismatch(es)"
-    )
-    if mismatches:
-        return 1
-    print("incremental maintenance agrees with scratch recomputation")
-    return 0
-
-
 def perf_history_main(argv: list[str]) -> int:
     """``python -m repro.cli perf-history``: the longitudinal perf log.
 
@@ -1431,8 +1271,6 @@ def main(argv: list[str] | None = None) -> int:
         return bench_diff_main(argv[1:])
     if argv and argv[0] == "perf-history":
         return perf_history_main(argv[1:])
-    if argv and argv[0] == "incremental-diff":
-        return incremental_diff_main(argv[1:])
     if argv and argv[0] == "trace-report":
         return trace_report_main(argv[1:])
     if argv and argv[0] == "telemetry":

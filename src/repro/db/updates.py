@@ -46,7 +46,6 @@ __all__ = [
     "insert_literals",
     "modify_literals",
     "clause_delta",
-    "apply_clause_delta",
 ]
 
 #: Structured logger for morphism construction (DEBUG: these run inside
@@ -66,9 +65,7 @@ def clause_delta(
     """The symmetric difference of two same-vocabulary states, split as
     ``(inserts, deletes)``: ``new == (old - deletes) | inserts``.
 
-    This is the syntactic footprint of an update morphism's application,
-    and exactly the frontier the incremental closure engine
-    (:mod:`repro.logic.incremental`) replays instead of re-saturating.
+    This is the syntactic footprint of an update morphism's application.
     """
     if old.vocabulary != new.vocabulary:
         raise VocabularyError(
@@ -77,22 +74,6 @@ def clause_delta(
     inserts = frozenset(new.clauses - old.clauses)
     deletes = frozenset(old.clauses - new.clauses)
     return inserts, deletes
-
-
-def apply_clause_delta(
-    state: ClauseSet,
-    inserts: Iterable[Clause],
-    deletes: Iterable[Clause],
-) -> ClauseSet:
-    """Replay a delta produced by :func:`clause_delta` onto ``state``.
-
-    Deltas carry already-normalised clauses (they were members of a
-    ``ClauseSet``), so the result is built without re-normalising.
-    """
-    clauses = (state.clauses - frozenset(deletes)) | frozenset(inserts)
-    if clauses == state.clauses:
-        return state
-    return ClauseSet._trusted(state.vocabulary, frozenset(clauses))
 
 
 def insert_atom(vocabulary: Vocabulary, name: str) -> Morphism:

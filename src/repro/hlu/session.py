@@ -35,7 +35,6 @@ from repro.errors import EvaluationError, ReproError
 from repro.hlu import audit as audit_mod
 from repro.hlu import language
 from repro.hlu.interpreter import run_update
-from repro.logic import incremental
 from repro.logic.clauses import ClauseSet
 from repro.logic.cnf import formula_to_clauses
 from repro.logic.formula import Formula
@@ -488,24 +487,18 @@ class IncompleteDatabase:
         return state.union(self._schema.constraint_clauses()).reduce()
 
     def _after_transition(self, old_state: Any, new_state: Any) -> None:
-        """Post-transition hook: feed the state change to the incremental
-        closure engine and record the clausal delta size.
+        """Post-transition hook: record the clausal delta size.
 
-        Only clausal states participate (``WorldSet`` transitions are a
-        structural break the engine does not track); within the clausal
-        backend, :func:`repro.logic.incremental.touch` adopts the nearest
-        known lineage and replays the insert/delete frontier, falling back
-        to a fresh lineage when the vocabulary changed or the delta is too
-        large to be worth replaying.
+        Only clausal states over one vocabulary have a clause delta
+        (``WorldSet`` transitions are not measured this way).
         """
-        if isinstance(old_state, ClauseSet) and isinstance(new_state, ClauseSet):
-            if obs._ENABLED and old_state.vocabulary == new_state.vocabulary:
-                from repro.db.updates import clause_delta
+        if (obs._ENABLED and isinstance(old_state, ClauseSet)
+                and isinstance(new_state, ClauseSet)
+                and old_state.vocabulary == new_state.vocabulary):
+            from repro.db.updates import clause_delta
 
-                inserts, deletes = clause_delta(old_state, new_state)
-                obs.observe("hlu.update.delta_size", len(inserts) + len(deletes))
-        if incremental._ENABLED and isinstance(new_state, ClauseSet):
-            incremental.touch(new_state)
+            inserts, deletes = clause_delta(old_state, new_state)
+            obs.observe("hlu.update.delta_size", len(inserts) + len(deletes))
 
     def _outcome(self) -> str:
         """The audit outcome of the current state: ``"inconsistent"`` when

@@ -60,13 +60,6 @@ Clause = frozenset[int]
 EMPTY_CLAUSE: Clause = frozenset()
 """The empty clause (the paper's box / 0): satisfied by no world."""
 
-#: Routing hook installed by :func:`repro.logic.incremental.enable_incremental`
-#: (and removed on disable).  Late-bound so this module never imports the
-#: incremental engine -- the same one-global-load discipline as the cache
-#: and obs flags.  When set, :meth:`ClauseSet.reduce` offers the call to
-#: the maintained subsumption-minimal tracks first.
-_INCREMENTAL_REDUCE = None
-
 
 # --------------------------------------------------------------------------
 # literals
@@ -460,15 +453,8 @@ class ClauseSet:
         Memoised by the opt-in kernel cache (``repro.cache``) on the
         clause set's content fingerprint: reduce is a pure function of
         an immutable input, so a hit returns the previously computed
-        (immutable) result unchanged.  With incremental maintenance
-        enabled (:mod:`repro.logic.incremental`), the call is served
-        from a maintained subsumption-minimal track instead, which
-        handles its own cache validation and storage.
+        (immutable) result unchanged.
         """
-        if _INCREMENTAL_REDUCE is not None:
-            routed = _INCREMENTAL_REDUCE(self)
-            if routed is not None:
-                return routed
         if cache._ENABLED:
             key = (self._vocabulary, self.fingerprint)
             hit = cache.lookup("logic.reduce", key)

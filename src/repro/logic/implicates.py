@@ -30,7 +30,6 @@ from collections.abc import Iterable
 
 from repro.cache import core as cache
 from repro.obs import core as obs
-from repro.logic import incremental
 from repro.logic.clauses import Clause, ClauseSet
 from repro.logic.resolution import resolution_closure
 
@@ -58,14 +57,8 @@ def prime_implicates(clause_set: ClauseSet, max_clauses: int = 100_000) -> Claus
     Memoised by the opt-in kernel cache on the clause set's fingerprint
     plus ``max_clauses``; a top-level hit also skips the (separately
     cached) closure and reduction stages.  A run that exceeds the budget
-    is never stored.  With incremental maintenance enabled
-    (:mod:`repro.logic.incremental`), the implicates are served from a
-    delta-maintained closure-plus-minimal-set track instead.
+    is never stored.
     """
-    if incremental._ENABLED:
-        routed = incremental.route_prime_implicates(clause_set, max_clauses)
-        if routed is not None:
-            return routed
     if cache._ENABLED:
         key = (clause_set.vocabulary, clause_set.fingerprint, max_clauses)
         hit = cache.lookup("logic.prime_implicates", key)

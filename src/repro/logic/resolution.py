@@ -41,7 +41,6 @@ from repro.logic.clauses import (
     make_literal,
 )
 from repro.logic.occurrence import OccurrenceIndex
-from repro.logic import incremental
 
 __all__ = [
     "resolvent",
@@ -172,16 +171,9 @@ def rclosure(clause_set: ClauseSet, indices: Iterable[int]) -> ClauseSet:
     Memoised by the opt-in kernel cache (``repro.cache``) on the clause
     set's content fingerprint plus the pivot set: the closure is a pure
     function of immutable inputs, so a hit skips the saturation (and its
-    work counters) entirely.  With incremental maintenance enabled
-    (:mod:`repro.logic.incremental`), the closure is served from a
-    delta-maintained track instead of re-saturating; the routed path
-    validates against and feeds the same memo-cache keys.
+    work counters) entirely.
     """
     pivot_indices = frozenset(indices)
-    if incremental._ENABLED:
-        routed = incremental.route_rclosure(clause_set, pivot_indices)
-        if routed is not None:
-            return routed
     if cache._ENABLED:
         key = (clause_set.vocabulary, clause_set.fingerprint, pivot_indices)
         hit = cache.lookup("logic.rclosure", key)
@@ -296,13 +288,7 @@ def resolution_closure(clause_set: ClauseSet, max_clauses: int = 100_000) -> Cla
     subclass, for callers that treated the budget as an out-of-memory
     condition).  Memoised by the opt-in kernel cache on the clause set's
     fingerprint plus ``max_clauses`` (a run that raises is never stored).
-    With incremental maintenance enabled the closure is served from a
-    delta-maintained track with the same budget semantics.
     """
-    if incremental._ENABLED:
-        routed = incremental.route_resolution_closure(clause_set, max_clauses)
-        if routed is not None:
-            return routed
     if cache._ENABLED:
         key = (clause_set.vocabulary, clause_set.fingerprint, max_clauses)
         hit = cache.lookup("logic.resolution_closure", key)

@@ -16,7 +16,7 @@ experiment and produces a ranked suspect list:
   call-count changes mask it in the totals;
 * **counter suspects** -- per-kernel counter deltas
   (``logic.reduce.subset_tests``, ``cache.*`` hit-rate shifts,
-  ``logic.incremental.*`` frontier sizes, ...), exact by design.
+  ``logic.resolution.resolvents_formed``, ...), exact by design.
 
 Significance is decided by the *shared* gate rules
 (:func:`repro.obs.baseline.classify_seconds` /
@@ -35,7 +35,7 @@ regression table.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.obs.baseline import (

@@ -11,7 +11,7 @@ that turns the bench suite into a throughput story.
 * :mod:`repro.server.protocol` -- the schema-versioned wire protocol
   (request validation, response shapes, error codes);
 * :mod:`repro.server.sessions` -- the per-connection session registry
-  (per-session locks, idle eviction, live-session gauge);
+  (connection-scoped names, idle eviction, live-session gauge);
 * :mod:`repro.server.service` -- the asyncio service itself (TCP or
   Unix socket, graceful drain on SIGTERM, live telemetry and audit
   wiring, ``python -m repro.cli serve``);

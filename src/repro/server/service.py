@@ -6,12 +6,12 @@ opens named sessions (scoped per connection, so clients are structurally
 isolated), and drives BLU/HLU updates, certain/possible queries, undo,
 and verified explain against :class:`~repro.hlu.session.IncompleteDatabase`.
 
-Concurrency model: one event loop, per-session :class:`asyncio.Lock`.
-Kernel work (resolution, SAT) runs synchronously on the loop -- the
-service's job in this PR is correct concurrent *session* handling and an
-honest requests-per-second number; fanning kernel work out of the loop
-is exactly the sharding/batching work the ROADMAP sequences next, and
-this server is the harness that will measure it.
+Concurrency model: one event loop, and every request handled to
+completion without yielding.  Kernel work (resolution, SAT) runs
+synchronously on the loop, so connections interleave only *between*
+requests and one session's operations are serialised without a lock.
+The price is that an expensive request delays every other client until
+it finishes.
 
 Operational surface:
 
@@ -23,8 +23,8 @@ Operational surface:
   every session the service opens records its operations, so a drained
   server leaves a trail that ``python -m repro.cli audit --replay``
   can re-run and verify fingerprint-for-fingerprint;
-* graceful drain on SIGTERM/SIGINT: stop accepting, let in-flight
-  requests finish, answer anything else with a ``draining`` error,
+* graceful drain on SIGTERM/SIGINT: stop accepting, answer any request
+  still arriving with a ``draining`` error, close the connections,
   flush telemetry and audit, exit 0.
 
 ``python -m repro.cli serve --socket /tmp/repro.sock`` is the CLI
@@ -59,9 +59,6 @@ __all__ = ["UpdateService", "serve_main"]
 
 _LOG = get_logger("repro.server.service")
 
-#: How long a graceful drain waits for in-flight requests (seconds).
-DRAIN_GRACE_SECONDS = 5.0
-
 
 class UpdateService:
     """The server: a session registry plus the connection handler.
@@ -80,17 +77,14 @@ class UpdateService:
         self,
         idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
         max_sessions: int = DEFAULT_MAX_SESSIONS,
-        drain_grace: float = DRAIN_GRACE_SECONDS,
     ):
         self.registry = SessionRegistry(
             idle_timeout=idle_timeout, max_sessions=max_sessions
         )
-        self.drain_grace = drain_grace
         self.draining = False
         self.connections = 0
         self.requests_total = 0
         self._conn_ids = itertools.count(1)
-        self._inflight = 0
         self._server: asyncio.AbstractServer | None = None
         self._evictor: asyncio.Task[None] | None = None
         self._writers: set[asyncio.StreamWriter] = set()
@@ -127,11 +121,14 @@ class UpdateService:
         return self._server
 
     async def stop(self) -> None:
-        """Graceful drain: stop accepting, finish in-flight work, close.
+        """Graceful drain: stop accepting, then close every connection.
 
-        New requests arriving on live connections while draining are
-        answered with a ``draining`` error rather than silence, so a
-        pipelining client sees a clean rejection instead of a hang.
+        No request is ever mid-way when this runs (requests do not
+        yield), so closing loses no work; responses already written are
+        flushed by the close.  New requests arriving on live connections
+        while draining are answered with a ``draining`` error rather
+        than silence, so a pipelining client sees a clean rejection
+        instead of a hang.
         """
         self.draining = True
         if self._server is not None:
@@ -143,9 +140,6 @@ class UpdateService:
                 await self._evictor
             except asyncio.CancelledError:
                 pass
-        deadline = time.monotonic() + self.drain_grace
-        while self._inflight and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
         for writer in list(self._writers):
             writer.close()
         for writer in list(self._writers):
@@ -232,10 +226,9 @@ class UpdateService:
                 error.request_id, error.code, str(error)
             )
         self.requests_total += 1
-        self._inflight += 1
         started = time.perf_counter()
         try:
-            return await self._dispatch(request, scope)
+            return self._dispatch(request, scope)
         except ReproError as error:
             # A library-level failure the validator could not foresee
             # (e.g. a constraint set the backend refuses): a clean error
@@ -252,7 +245,6 @@ class UpdateService:
                 request.id, "internal", f"internal error: {error!r}"
             )
         finally:
-            self._inflight -= 1
             runtime.record_op(
                 f"srv.{request.op}", time.perf_counter() - started
             )
@@ -261,7 +253,7 @@ class UpdateService:
     # Dispatch
     # ------------------------------------------------------------------
 
-    async def _dispatch(
+    def _dispatch(
         self, request: protocol.Request, scope: str
     ) -> dict[str, Any]:
         op = request.op
@@ -294,21 +286,20 @@ class UpdateService:
                 f"no open session named {request.session!r} on this "
                 f"connection (send an 'open' first)",
             )
-        async with entry.lock:
-            self.registry.touch(entry)
-            if op == "update":
-                return self._do_update(request, entry)
-            if op == "query":
-                return self._do_query(request, entry)
-            if op == "undo":
-                return self._do_undo(request, entry)
-            if op == "explain":
-                return self._do_explain(request, entry)
-            if op == "state":
-                return self._do_state(request, entry)
-            if op == "close":
-                self.registry.close(name)
-                return protocol.ok_response(request.id, closed=True)
+        self.registry.touch(entry)
+        if op == "update":
+            return self._do_update(request, entry)
+        if op == "query":
+            return self._do_query(request, entry)
+        if op == "undo":
+            return self._do_undo(request, entry)
+        if op == "explain":
+            return self._do_explain(request, entry)
+        if op == "state":
+            return self._do_state(request, entry)
+        if op == "close":
+            self.registry.close(name)
+            return protocol.ok_response(request.id, closed=True)
         raise AssertionError(f"unhandled op {op!r}")  # pragma: no cover
 
     def _do_open(
@@ -507,7 +498,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     with live telemetry always on (``--telemetry-out`` streams the JSONL
     feed; ``stats`` serves snapshots either way) and the audit trail
     opt-in via ``--audit-out``.  SIGTERM/SIGINT drain gracefully: accept
-    nothing new, finish in-flight requests, flush feed and trail, exit 0.
+    nothing new, close the connections, flush feed and trail, exit 0.
     """
     parser = argparse.ArgumentParser(
         prog="repro-hlu serve",

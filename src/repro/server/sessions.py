@@ -1,4 +1,4 @@
-"""The service's session registry: named sessions, locks, idle eviction.
+"""The service's session registry: named sessions and idle eviction.
 
 Sessions are keyed by *scoped* names -- the service prefixes every
 client-supplied name with a per-connection scope (``c7/main``), so two
@@ -7,10 +7,11 @@ makes client isolation structural: there is no configuration in which
 one client can observe another's uncommitted updates, because there is
 no shared key to collide on.
 
-Each entry carries an :class:`asyncio.Lock`: the event loop interleaves
-connections freely, but operations on *one* session are serialised, so a
-client pipelining ``update`` then ``query`` always queries the updated
-state, and an update can never begin while another is mid-application.
+Operations on a session need no lock.  Every operation runs to
+completion on the event loop without yielding (the kernels are
+synchronous), and each connection handles its lines in order, so two
+operations on one session can never interleave: a client pipelining
+``update`` then ``query`` always queries the updated state.
 
 The registry also owns lifecycle policy: a bound on live sessions, an
 idle-eviction sweep (sessions untouched for longer than the timeout are
@@ -20,10 +21,9 @@ connections), and the ``srv.sessions`` gauge the telemetry feed reports.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import EvaluationError
 from repro.hlu.session import IncompleteDatabase
@@ -46,23 +46,19 @@ DEFAULT_MAX_SESSIONS = 1024
 
 @dataclass
 class SessionEntry:
-    """One live session: the database plus its lock and bookkeeping."""
+    """One live session: the database and when it was last used."""
 
     name: str
     db: IncompleteDatabase
-    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    created: float = 0.0
     last_used: float = 0.0
-    ops: int = 0
 
 
 class SessionRegistry:
     """Scoped-name -> :class:`SessionEntry`, with lifecycle policy.
 
-    Single-threaded by design (everything runs on the service's event
-    loop), so the mapping needs no lock of its own; the per-entry locks
-    exist to serialise *operations*, which await kernel work and can
-    therefore interleave.
+    Single-threaded by design: everything runs on the service's event
+    loop, and no operation yields mid-way, so neither the mapping nor
+    its entries need a lock.
     """
 
     def __init__(
@@ -106,7 +102,7 @@ class SessionRegistry:
                 f"session limit reached ({self.max_sessions} live sessions)"
             )
         now = self._clock()
-        entry = SessionEntry(name=name, db=db, created=now, last_used=now)
+        entry = SessionEntry(name=name, db=db, last_used=now)
         self._entries[name] = entry
         self._update_gauge()
         return entry
@@ -121,24 +117,20 @@ class SessionRegistry:
     def touch(self, entry: SessionEntry) -> None:
         """Record use (idle eviction measures from the last touch)."""
         entry.last_used = self._clock()
-        entry.ops += 1
 
     # --- lifecycle -------------------------------------------------------
 
     def evict_idle(self, now: float | None = None) -> list[str]:
         """Close every session idle past the timeout; returns the names.
 
-        Entries whose lock is currently held are skipped -- an operation
-        in flight is the opposite of idle, and evicting under a client
-        mid-request would turn a slow kernel call into a vanished
-        session.
+        The sweep runs on the event loop between operations, so no
+        session it sees is mid-request.
         """
         now = self._clock() if now is None else now
         stale = [
             name
             for name, entry in self._entries.items()
             if now - entry.last_used > self.idle_timeout
-            and not entry.lock.locked()
         ]
         for name in stale:
             del self._entries[name]

@@ -153,6 +153,24 @@ class TestModuleSwitchboard:
         assert counters.get("cache.logic.reduce.hits") == 1
         assert counters.get("cache.logic.reduce.evictions") == 1
 
+    def test_resize_evictions_reach_telemetry(self):
+        from repro.obs import runtime
+
+        previous = runtime.set_registry(runtime.MetricsRegistry())
+        runtime.enable()
+        try:
+            cache.enable_cache(capacity=4)
+            for key in ("a", "b", "c"):
+                cache.store("k", key, key)
+            cache.enable_cache(capacity=1)
+            cache.lookup("k", "c")  # list the store in cache_stats
+            assert cache.cache_stats()["k"]["evictions"] == 2
+            counters = runtime.registry().snapshot()["counters"]
+            assert counters.get("cache.evictions") == 2
+        finally:
+            runtime.disable()
+            runtime.set_registry(previous)
+
 
 class TestMergeStats:
     def test_sums_tallies_and_maxes_capacity(self):

@@ -160,7 +160,7 @@ class TestModifyLiterals:
 
 class TestClauseDelta:
     def test_delta_splits_symmetric_difference(self):
-        from repro.db.updates import apply_clause_delta, clause_delta
+        from repro.db.updates import clause_delta
         from repro.logic.clauses import ClauseSet
 
         vocab = Vocabulary.standard(4)
@@ -169,17 +169,8 @@ class TestClauseDelta:
         inserts, deletes = clause_delta(old, new)
         assert inserts == frozenset({frozenset({-3, 4})})
         assert deletes == frozenset({frozenset({3})})
-        assert apply_clause_delta(old, inserts, deletes) == new
-
-    def test_empty_delta_returns_same_object(self):
-        from repro.db.updates import apply_clause_delta, clause_delta
-
-        from repro.logic.clauses import ClauseSet
-
-        cs = ClauseSet.from_strs(VOCAB, ["A1 | A2"])
-        inserts, deletes = clause_delta(cs, cs)
-        assert inserts == deletes == frozenset()
-        assert apply_clause_delta(cs, inserts, deletes) is cs
+        assert (old.clauses - deletes) | inserts == new.clauses
+        assert clause_delta(old, old) == (frozenset(), frozenset())
 
     def test_vocabulary_mismatch_rejected(self):
         from repro.db.updates import clause_delta

@@ -208,49 +208,10 @@ class TestCanonicalClauses:
         assert db.canonical_clauses().has_empty_clause
 
 
-class TestIncrementalWiring:
-    """The session layer feeds state transitions to the incremental
-    closure engine; results must be bit-identical to scratch runs."""
-
-    def test_update_sequence_matches_scratch(self):
-        from repro.logic import incremental
-
-        def drive():
-            db = IncompleteDatabase.over(5)
-            db.assert_("~A1 | A3", "A1 | A4", "A4 | A5", "~A1 | ~A2 | ~A5")
-            db.insert("A1 | A2")
-            db.delete("A4")
-            db.undo()
-            db.clear("A5")
-            return db.clauses(), db.canonical_clauses()
-
-        scratch_state, scratch_canonical = drive()
-        incremental.enable_incremental()
-        try:
-            inc_state, inc_canonical = drive()
-            stats = incremental.incremental_stats()
-        finally:
-            incremental.disable_incremental()
-            incremental.reset_incremental()
-        assert inc_state == scratch_state
-        assert inc_canonical == scratch_canonical
-        assert stats["lineages"] >= 1
-
-    def test_instance_backend_transitions_are_skipped(self):
-        from repro.logic import incremental
-
-        incremental.enable_incremental()
-        try:
-            db = IncompleteDatabase.over(3, backend="instance")
-            db.insert("A1")
-            db.undo()
-            assert db.is_certain("A1") is False
-        finally:
-            incremental.disable_incremental()
-            incremental.reset_incremental()
+class TestTransitionObservation:
+    """State transitions record their clausal delta size."""
 
     def test_delta_size_observed_when_obs_enabled(self):
-        from repro.logic import incremental
         from repro.obs import core as obs
 
         obs.enable()

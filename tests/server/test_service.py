@@ -301,23 +301,19 @@ class TestDraining:
 
 
 class TestRegistry:
-    def test_idle_eviction_skips_busy_sessions(self):
-        async def scenario():
-            from repro.hlu.session import IncompleteDatabase
+    def test_idle_eviction_closes_only_stale_sessions(self):
+        from repro.hlu.session import IncompleteDatabase
 
-            clock = [0.0]
-            registry = SessionRegistry(idle_timeout=10.0, clock=lambda: clock[0])
-            idle = registry.open("c1/idle", IncompleteDatabase.over(2))
-            busy = registry.open("c1/busy", IncompleteDatabase.over(2))
-            del idle
-            clock[0] = 20.0
-            async with busy.lock:
-                evicted = registry.evict_idle()
-            assert evicted == ["c1/idle"]
-            assert registry.get("c1/busy") is not None
-            assert registry.evicted_total == 1
-
-        asyncio.run(scenario())
+        clock = [0.0]
+        registry = SessionRegistry(idle_timeout=10.0, clock=lambda: clock[0])
+        registry.open("c1/idle", IncompleteDatabase.over(2))
+        fresh = registry.open("c1/fresh", IncompleteDatabase.over(2))
+        clock[0] = 15.0
+        registry.touch(fresh)
+        clock[0] = 20.0
+        assert registry.evict_idle() == ["c1/idle"]
+        assert registry.get("c1/fresh") is not None
+        assert registry.evicted_total == 1
 
     def test_registry_bounds_live_sessions(self):
         from repro.errors import EvaluationError

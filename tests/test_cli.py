@@ -698,48 +698,6 @@ class TestAuditMain:
         assert len(err.strip().splitlines()) == 1
 
 
-class TestIncrementalDiffMain:
-    def test_small_run_agrees(self, capsys):
-        assert main(
-            ["incremental-diff", "--sequences", "6", "--steps", "4"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "0 mismatch(es)" in out
-        assert "agrees with scratch" in out
-
-    def test_budget_sequences_exercised(self, capsys):
-        # Every sequence runs under a tight budget; parity must hold
-        # through overflow and recovery.
-        assert main(
-            [
-                "incremental-diff",
-                "--sequences",
-                "5",
-                "--steps",
-                "6",
-                "--budget-every",
-                "1",
-            ]
-        ) == 0
-        assert "0 mismatch(es)" in capsys.readouterr().out
-
-    def test_bad_arguments_rejected(self):
-        import pytest as _pytest
-
-        with _pytest.raises(SystemExit):
-            main(["incremental-diff", "--sequences", "0"])
-
-    def test_leaves_global_switches_untouched(self, capsys):
-        from repro.cache import core as cache_mod
-        from repro.logic import incremental
-
-        cache_mod.disable_cache()
-        incremental.disable_incremental()
-        assert main(["incremental-diff", "--sequences", "3"]) == 0
-        assert not cache_mod.cache_enabled()
-        assert not incremental.incremental_enabled()
-
-
 class TestInputErrorPaths:
     """Every file-reading subcommand: one `error: <path>: ...` line, exit 2.
 

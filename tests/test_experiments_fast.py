@@ -21,7 +21,6 @@ FAST_EXPERIMENTS = [
     experiments.e13_relational_grounding,
     experiments.e15_minimal_change,
     experiments.e17_template_coverage,
-    experiments.a05_incremental_updates,
 ]
 
 
