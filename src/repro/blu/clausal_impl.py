@@ -159,15 +159,14 @@ class ClausalImplementation(Implementation):
     # --- operators ---------------------------------------------------------------
 
     def op_assert(self, state: ClauseSet, other: ClauseSet) -> ClauseSet:
-        """Clause-set union: ``Theta(Length1 + Length2)``."""
+        """Clause-set union: ``Theta(Length1 + Length2)``; simplified, the
+        reduced union (:meth:`ClauseSet.merge`)."""
         self._check_state(state)
         self._check_state(other)
         with runtime.timed("blu.c.assert"), obs.span(
             "blu.c.assert", left=len(state), right=len(other)
         ):
-            result = state.union(other)
-            if self._simplify:
-                result = result.reduce()
+            result = state.merge(other) if self._simplify else state.union(other)
             obs.inc("blu.c.assert.calls")
             obs.inc("blu.c.assert.clauses_out", len(result))
             obs.observe("blu.c.state_clauses", len(result))

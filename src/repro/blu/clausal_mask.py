@@ -18,12 +18,11 @@ implied-constraint problem for views).  Intermediate subsumption reduction
 (``simplify=True``, the default) is one of the "correctness-preserving
 optimizations" Section 4 anticipates; it does not change the worst case.
 
-The per-letter ``rclosure``/``drop``/``reduce`` steps are now backed by
-the occurrence index and signature-filtered subsumption of
-:mod:`repro.logic.resolution` / :mod:`repro.logic.clauses` -- same
-outputs, but each elimination touches only the clauses mentioning the
-pivot letter (counters ``logic.resolution.index_hits`` /
-``logic.resolution.index_skips`` quantify the avoided scans).
+With ``simplify=True`` each letter is one round of resolution,
+:func:`repro.logic.resolution.eliminate_letter`: the ``A``-clauses are
+resolved pairwise once and the resolvents merged into the ``A``-free
+rest, which keeps the state subsumption-free without re-reducing it.
+``simplify=False`` runs the paper's raw ``rclosure`` then ``drop``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from collections.abc import Iterable
 from repro.cache import core as cache
 from repro.obs import core as obs
 from repro.logic.clauses import ClauseSet
-from repro.logic.resolution import drop, rclosure
+from repro.logic.resolution import drop, eliminate_letter, rclosure
 
 __all__ = ["clausal_mask"]
 
@@ -64,10 +63,10 @@ def clausal_mask(
     current = clause_set
     for index in sorted(letter_set):
         with obs.span("blu.c.mask.eliminate", letter=index, clauses_in=len(current)):
-            closed = rclosure(current, (index,))
-            current = drop(closed, (index,))
             if simplify:
-                current = current.reduce()
+                current = eliminate_letter(current, index)
+            else:
+                current = drop(rclosure(current, (index,)), (index,))
             obs.inc("blu.c.mask.letters_eliminated")
             obs.inc("blu.c.mask.clauses_retained", len(current))
     if cache._ENABLED:

@@ -484,7 +484,7 @@ class IncompleteDatabase:
             return state
         if isinstance(state, WorldSet):
             return state.legal(self._schema)
-        return state.union(self._schema.constraint_clauses()).reduce()
+        return state.merge(self._schema.constraint_clauses())
 
     def _after_transition(self, old_state: Any, new_state: Any) -> None:
         """Post-transition hook: record the clausal delta size.

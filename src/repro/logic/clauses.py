@@ -223,6 +223,31 @@ def _check_clause_literals(clause: Clause, max_index: int, vocab_size: int) -> N
             )
 
 
+#: ``ClauseSet.merge`` scans when it adds at most this many new clauses
+#: and builds its literal index for more.  A scan costs one C-level pass
+#: over the base per new clause; the index costs Python-level filing and
+#: lookup passes over the base however few clauses are new.  Timed, the
+#: scan is the cheaper up to 32 new clauses on stream_large's merges and
+#: up to about 24 on random bases (DESIGN §1.9 has the figures).  Neither
+#: alone serves both stream_large, whose merges mostly add 1-4 clauses,
+#: and E16, whose largest add thousands.
+_MERGE_SCAN_MAX = 24
+
+
+def _filed_subset(clause: Clause, filed: dict[Literal, list[Clause]]) -> tuple[bool, int]:
+    """Is a proper subset of ``clause`` filed in ``filed`` (clauses filed
+    under one literal each)?  Also returns how many filed clauses were
+    handed to the test."""
+    compared = 0
+    for literal in clause:
+        bucket = filed.get(literal)
+        if bucket:
+            compared += len(bucket)
+            if any(map(clause.__gt__, bucket)):
+                return True, compared
+    return False, compared
+
+
 class ClauseSet:
     """A finite set of clauses over a vocabulary -- an element of ``CF[D]``.
 
@@ -238,9 +263,17 @@ class ClauseSet:
     >>> cs = ClauseSet.from_strs(vocab, ["A1 | ~A2", "A3"])
     >>> cs.length
     3
+
+    A set also carries a *reduced mark* (:attr:`known_reduced`), saying
+    it is known to be subsumption-free: ``reduce()``, ``merge()``,
+    ``tautology()`` and ``contradiction()`` set it on the sets they
+    return.  The mark is not part of the value (equality and hashing
+    ignore it); it only lets ``reduce()`` return at once and ``merge()``
+    subsume incrementally.  Sets from the public constructor are
+    unmarked.
     """
 
-    __slots__ = ("_vocabulary", "_clauses", "_hash", "_sigs", "_fp")
+    __slots__ = ("_vocabulary", "_clauses", "_hash", "_sigs", "_fp", "_reduced")
 
     def __init__(self, vocabulary: Vocabulary, clauses: Iterable[Clause]):
         max_index = len(vocabulary) - 1
@@ -255,11 +288,14 @@ class ClauseSet:
         self._hash = hash((vocabulary, self._clauses))
         self._sigs = None
         self._fp = None
+        self._reduced = False
 
     # --- constructors -------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, vocabulary: Vocabulary, clauses: frozenset[Clause]) -> "ClauseSet":
+    def _trusted(
+        cls, vocabulary: Vocabulary, clauses: frozenset[Clause], reduced: bool = False
+    ) -> "ClauseSet":
         """Build a ClauseSet from already-validated clauses, skipping checks.
 
         Private fast path for operations whose outputs are made purely of
@@ -268,7 +304,8 @@ class ClauseSet:
         kernels.  Callers must guarantee every clause is a frozenset of
         in-vocabulary literals with no complementary pair -- the public
         constructor re-validates everything and was a measurable cost on
-        every intermediate clause set of the fixpoint kernels.
+        every intermediate clause set of the fixpoint kernels.  Pass
+        ``reduced=True`` only for clauses known to be subsumption-free.
         """
         self = object.__new__(cls)
         self._vocabulary = vocabulary
@@ -276,17 +313,18 @@ class ClauseSet:
         self._hash = hash((vocabulary, clauses))
         self._sigs = None
         self._fp = None
+        self._reduced = reduced
         return self
 
     @classmethod
     def tautology(cls, vocabulary: Vocabulary) -> "ClauseSet":
-        """The empty clause set: true in every world."""
-        return cls(vocabulary, ())
+        """The empty clause set: true in every world (and marked reduced)."""
+        return cls._trusted(vocabulary, frozenset(), reduced=True)
 
     @classmethod
     def contradiction(cls, vocabulary: Vocabulary) -> "ClauseSet":
-        """``{box}``: true in no world."""
-        return cls(vocabulary, (EMPTY_CLAUSE,))
+        """``{box}``: true in no world (and marked reduced)."""
+        return cls._trusted(vocabulary, frozenset((EMPTY_CLAUSE,)), reduced=True)
 
     @classmethod
     def from_strs(cls, vocabulary: Vocabulary, clause_texts: Iterable[str]) -> "ClauseSet":
@@ -342,6 +380,13 @@ class ClauseSet:
     def prop_names(self) -> frozenset[str]:
         """``Prop[Phi]``: names of all letters occurring in some clause."""
         return frozenset(self._vocabulary.name_of(i) for i in self.prop_indices)
+
+    @property
+    def known_reduced(self) -> bool:
+        """The reduced mark: true when the set is known to be
+        subsumption-free.  False means unknown, not "has subsumed
+        clauses"."""
+        return self._reduced
 
     @property
     def has_empty_clause(self) -> bool:
@@ -401,7 +446,9 @@ class ClauseSet:
         return self._fp
 
     def union(self, other: "ClauseSet") -> "ClauseSet":
-        """Set union of the clauses (conjunction of the theories)."""
+        """Set union of the clauses (conjunction of the theories).
+
+        The result is unmarked; :meth:`merge` gives the reduced union."""
         self._check_vocabulary(other)
         return ClauseSet._trusted(self._vocabulary, self._clauses | other._clauses)
 
@@ -431,9 +478,11 @@ class ClauseSet:
                 )
             forbidden_mask |= 1 << index
         sigs = self.signatures
+        # A subset of a subsumption-free set is subsumption-free.
         return ClauseSet._trusted(
             self._vocabulary,
             frozenset(c for c in self._clauses if not (sigs[c] & forbidden_mask)),
+            reduced=self._reduced,
         )
 
     def satisfied_by(self, world: int) -> bool:
@@ -453,8 +502,11 @@ class ClauseSet:
         Memoised by the opt-in kernel cache (``repro.cache``) on the
         clause set's content fingerprint: reduce is a pure function of
         an immutable input, so a hit returns the previously computed
-        (immutable) result unchanged.
+        (immutable) result unchanged.  The result carries the reduced
+        mark, and a marked set is returned at once, before the cache.
         """
+        if self._reduced:
+            return self
         if cache._ENABLED:
             key = (self._vocabulary, self.fingerprint)
             hit = cache.lookup("logic.reduce", key)
@@ -493,8 +545,76 @@ class ClauseSet:
                 obs.inc("logic.reduce.sig_skips", sig_skips)
             current.set(clauses_out=len(kept), subset_tests=subset_tests)
             if len(kept) == len(self._clauses):
+                self._reduced = True
                 return self
-            return ClauseSet._trusted(self._vocabulary, frozenset(kept))
+            return ClauseSet._trusted(self._vocabulary, frozenset(kept), reduced=True)
+
+    def merge(self, extra: "ClauseSet") -> "ClauseSet":
+        """``self.union(extra).reduce()``, subsuming incrementally.
+
+        On a set carrying the reduced mark, the new clauses are taken
+        shortest first, and each one that a clause of this set or an
+        earlier kept new clause subsumes is dropped (forward subsumption,
+        which also reduces the new clauses among themselves); then each
+        clause of this set that a kept new clause subsumes is dropped
+        (backward subsumption).  The result is the same set as the full
+        pass's: the reduced form is the unique set of subset-minimal
+        clauses, and a clause of an already subsumption-free set can only
+        be subsumed by a new one.  An unmarked set is reduced first (the
+        full pass), then merged into.
+
+        A few new clauses are tested against every clause,
+        ``O(|self| x |new|)`` frozenset subset tests.  Many are checked
+        through a literal index instead, which files each clause under
+        one literal it contains, so a subset of a clause is found under
+        one of that clause's literals; building it costs ``O(|self|)``.
+        ``logic.reduce.merge_tests`` counts the clauses each check is
+        handed (a check that stops at its first hit counts in full).
+        """
+        self._check_vocabulary(extra)
+        if not self._reduced:
+            return self.reduce().merge(extra)
+        base = self._clauses
+        fresh = extra._clauses - base
+        if not fresh or EMPTY_CLAUSE in base:
+            return self
+        if EMPTY_CLAUSE in fresh:
+            return ClauseSet.contradiction(self._vocabulary)
+        survivors: list[Clause] = []
+        tests = 0
+        # Between distinct clauses, subsumption is a proper subset.
+        if len(fresh) <= _MERGE_SCAN_MAX:
+            for clause in sorted(fresh, key=len):
+                tests += len(base) + len(survivors)
+                if not (any(map(clause.__gt__, base))
+                        or any(map(clause.__gt__, survivors))):
+                    survivors.append(clause)
+            subsumed = {b for clause in survivors for b in filter(clause.__lt__, base)}
+            tests += len(base) * len(survivors)
+        else:
+            filed: dict[Literal, list[Clause]] = {}
+            for clause in base:
+                filed.setdefault(min(clause), []).append(clause)
+            for clause in sorted(fresh, key=len):
+                found, compared = _filed_subset(clause, filed)
+                tests += compared
+                if not found:
+                    survivors.append(clause)
+                    filed.setdefault(min(clause), []).append(clause)
+            # No clause of this set subsumes another, so a hit is a survivor.
+            subsumed = set()
+            for clause in base:
+                found, compared = _filed_subset(clause, filed)
+                tests += compared
+                if found:
+                    subsumed.add(clause)
+        if tests:
+            obs.inc("logic.reduce.merge_tests", tests)
+        if not survivors:
+            return self
+        return ClauseSet._trusted(
+            self._vocabulary, base.difference(subsumed).union(survivors), reduced=True
+        )
 
     def sorted_clauses(self) -> tuple[Clause, ...]:
         """The clauses in the canonical :func:`clause_sort_key` order.

@@ -7,7 +7,8 @@ Provides the primitives the clausal implementation ``BLU--C`` is built on:
   (Algorithm 2.3.5);
 * :func:`drop` -- discard clauses mentioning given letters (Algorithm 2.3.5);
 * :func:`eliminate_letter` -- one Davis-Putnam variable-elimination step,
-  i.e. ``drop({A}, rclosure(Phi, {A}))``, the body of ``BLU--C[mask]``;
+  i.e. the reduced ``drop({A}, rclosure(Phi, {A}))`` in one round of
+  resolution, the body of ``BLU--C[mask]``;
 * :func:`unit_resolve` -- the paper's ``unitres`` (Algorithm 2.3.8);
 * :func:`resolution_closure` -- full saturation (used by the
   prime-implicate engine and, on small instances, by refutation-
@@ -28,7 +29,7 @@ from collections import deque
 from collections.abc import Iterable
 
 from repro.cache import core as cache
-from repro.errors import ClosureBudgetError
+from repro.errors import ClosureBudgetError, VocabularyError
 from repro.obs import core as obs
 from repro.obs import provenance
 from repro.obs import runtime
@@ -82,10 +83,14 @@ def _saturate(
     Every clause enters the worklist exactly once; when it is processed,
     the occurrence index serves up exactly the opposite-polarity partners
     for each of its pivot literals.  Any resolvable pair ``(C1, C2)`` is
-    attempted when the later-queued of the two is processed (the earlier
-    one is in the index by then), so the result is genuinely closed under
-    resolution on the pivot letters -- the same fixpoint the seed's
-    rescan-until-stable loops computed, without the rescans.
+    attempted no later than when the later-queued of the two is processed
+    (the earlier one is in the index by then), so the result is genuinely
+    closed under resolution on the pivot letters -- the same fixpoint the
+    seed's rescan-until-stable loops computed, without the rescans.  All
+    inputs are indexed up front, so a pair of inputs is attempted when the
+    earlier-queued one is processed and skipped when the later one is:
+    each input pair is resolved once.  A resolvent still meets every
+    input, which was processed before the resolvent was indexed.
 
     Exceeding ``max_clauses`` raises :class:`ClosureBudgetError`.  When
     ``stop_on`` is given, the saturation returns early as soon as that
@@ -114,6 +119,7 @@ def _saturate(
         queue: deque[Clause] = deque(ordered_inputs)
     else:
         queue = deque(occ)
+    input_rank = {clause: rank for rank, clause in enumerate(queue)}
     formed = 0
     hits = 0
     skips = 0
@@ -121,6 +127,7 @@ def _saturate(
         return occ, formed, hits, skips
     while queue:
         clause = queue.popleft()
+        rank = input_rank.get(clause)
         for literal in clause:
             if pivot_indices is not None and (abs(literal) - 1) not in pivot_indices:
                 continue
@@ -135,6 +142,8 @@ def _saturate(
             # are tautology-free), so this bucket cannot grow mid-loop, but
             # adding resolvents mutates sibling buckets of the same dict.
             for partner in list(partners):
+                if rank is not None and input_rank.get(partner, rank) < rank:
+                    continue
                 if literal > 0:
                     res = resolvent(clause, partner, index)
                 else:
@@ -203,21 +212,54 @@ def drop(clause_set: ClauseSet, indices: Iterable[int]) -> ClauseSet:
 
 
 def eliminate_letter(clause_set: ClauseSet, index: int) -> ClauseSet:
-    """One variable-elimination step: resolve on the letter, then drop it.
+    """One Davis-Putnam step: ``drop({A}, rclosure(Phi, {A}))``, reduced.
 
     This computes the clausal representation of ``exists A . Phi`` -- the
     logically strongest consequence of ``Phi`` not mentioning ``A`` -- and
-    is the per-letter body of ``BLU--C[mask]`` (Algorithm 2.3.5).  The
-    result is subsumption-reduced, a correctness-preserving optimisation
-    the paper anticipates in Section 4.
+    is the per-letter body of ``BLU--C[mask]`` (Algorithm 2.3.5) with the
+    subsumption reduction Section 4 anticipates.  One round of resolution
+    is the whole closure: a resolvent on ``A`` never contains ``A``, so
+    it resolves with nothing further on ``A``.  The step splits the
+    clauses on ``A``, resolves each positive occurrence against each
+    negative one once, and merges the resolvents into the ``A``-free rest
+    (:meth:`ClauseSet.merge`, incremental when ``Phi`` carries the reduced
+    mark, which the rest inherits).  A letter that does not occur leaves
+    ``Phi.reduce()``: ``Phi`` itself when marked.
+
+    Distinct resolvents not already in ``Phi`` are counted as
+    ``logic.resolution.resolvents_formed``, exactly as :func:`rclosure`
+    counts them.
     """
-    with obs.span("logic.eliminate_letter", letter=index, clauses_in=len(clause_set)):
-        closed = rclosure(clause_set, (index,))
-        result = drop(closed, (index,)).reduce()
-        obs.inc("logic.resolution.letters_eliminated")
-        obs.inc("logic.resolution.clauses_retained", len(result))
-        obs.observe("logic.resolution.retained_per_eliminate", len(result))
-        return result
+    vocabulary = clause_set.vocabulary
+    if index >= len(vocabulary):
+        raise VocabularyError(
+            f"letter index {index} is outside the vocabulary (size {len(vocabulary)})"
+        )
+    positive = make_literal(index)
+    with_positive: list[Clause] = []
+    with_negative: list[Clause] = []
+    rest: list[Clause] = []
+    for clause in clause_set.clauses:
+        if positive in clause:
+            with_positive.append(clause)
+        elif -positive in clause:
+            with_negative.append(clause)
+        else:
+            rest.append(clause)
+    if not with_positive and not with_negative:
+        return clause_set.reduce()
+    resolvents = {
+        merged
+        for clause_pos in with_positive
+        for clause_neg in with_negative
+        if (merged := resolvent(clause_pos, clause_neg, index)) is not None
+    }
+    kept = ClauseSet._trusted(vocabulary, frozenset(rest), reduced=clause_set.known_reduced)
+    formed = len(resolvents.difference(kept.clauses))
+    if formed:
+        obs.inc("logic.resolution.resolvents_formed", formed)
+        runtime.count("logic.resolvents_formed", formed)
+    return kept.merge(ClauseSet._trusted(vocabulary, frozenset(resolvents)))
 
 
 def unit_resolve(clause_set: ClauseSet, literals: Iterable[Literal]) -> ClauseSet:

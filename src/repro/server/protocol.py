@@ -42,6 +42,7 @@ from repro.hlu.session import BACKENDS
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_LINE_BYTES",
+    "MAX_INSTANCE_LETTERS",
     "OPS",
     "SESSION_OPS",
     "QUERY_MODES",
@@ -64,6 +65,12 @@ PROTOCOL_VERSION = 1
 #: protocol must bound its lines or one hostile/buggy client can balloon
 #: the server's read buffer.
 MAX_LINE_BYTES = 1_000_000
+
+#: Largest vocabulary an ``open`` may give an ``instance`` session.  That
+#: backend enumerates up to ``2**letters`` worlds on the event loop every
+#: client shares: open plus one insert costs ~0.2-0.3 s at 16 letters and
+#: ~6 s (310 MiB) at 20.  The clausal backend has no such limit.
+MAX_INSTANCE_LETTERS = 16
 
 #: Every operation the service understands, in documentation order.
 OPS = (
@@ -200,6 +207,14 @@ def validate_request(record: Any) -> Request:
         if backend not in BACKENDS:
             _fail(
                 f"'backend' must be one of {BACKENDS}, got {backend!r}",
+                request_id=request_id,
+            )
+        size = letters if isinstance(letters, int) else len(letters)
+        if backend == "instance" and size > MAX_INSTANCE_LETTERS:
+            _fail(
+                f"'instance' sessions are limited to {MAX_INSTANCE_LETTERS} "
+                f"letters, got {size}; use backend 'clausal' for larger "
+                "vocabularies",
                 request_id=request_id,
             )
         constraints = record.get("constraints", [])

@@ -59,6 +59,16 @@ __all__ = ["UpdateService", "serve_main"]
 
 _LOG = get_logger("repro.server.service")
 
+#: Bytes a connection's transport reads at a time.  asyncio reads into a
+#: fresh 256 KiB buffer and shrinks it to what arrived; when glibc's heap
+#: top sits near its trim threshold, every read then grows the heap and
+#: trims it again, about two page faults and 20 us of system time per
+#: request (measured on mixed_small: cheap requests' p50 latency up 20%).
+#: Whether a build lands there depends on byte-level heap layout, down to
+#: the length of the socket path.  Request lines are small; 16 KiB reads
+#: stay clear of the trim.
+READ_CHUNK_BYTES = 16 * 1024
+
 
 class UpdateService:
     """The server: a session registry plus the connection handler.
@@ -170,6 +180,11 @@ class UpdateService:
         self.connections += 1
         runtime.set_gauge("srv.connections", float(self.connections))
         self._writers.add(writer)
+        # asyncio's selector transports read ``max_size`` bytes per recv
+        # (not a public setting, so only where the attribute exists).
+        transport = writer.transport
+        if hasattr(transport, "max_size"):
+            transport.max_size = READ_CHUNK_BYTES
         try:
             while True:
                 try:

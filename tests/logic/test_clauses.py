@@ -217,6 +217,43 @@ class TestClauseSetOperations:
         assert rendered == ["A1", "(A2 | A3)"]
 
 
+class TestReducedMark:
+    """Which constructors and operations set the reduced mark.  A wrong
+    mark would let ``reduce`` and ``merge`` skip real subsumption."""
+
+    def test_outside_sets_are_unmarked(self):
+        assert not ClauseSet(VOCAB, [clause_of([1])]).known_reduced
+        assert not ClauseSet.from_strs(VOCAB, ["A1"]).known_reduced
+        assert not ClauseSet.from_literal_set(VOCAB, [1]).known_reduced
+
+    def test_distinguished_sets_are_marked(self):
+        assert ClauseSet.tautology(VOCAB).known_reduced
+        assert ClauseSet.contradiction(VOCAB).known_reduced
+
+    def test_reduce_marks_and_returns_a_marked_set_at_once(self):
+        cs = ClauseSet.from_strs(VOCAB, ["A1", "A1 | A2"])
+        reduced = cs.reduce()
+        assert reduced.known_reduced
+        assert reduced.reduce() is reduced
+        # Nothing to drop: the set itself is marked and returned.
+        already = ClauseSet.from_strs(VOCAB, ["A1", "A2"])
+        assert already.reduce() is already
+        assert already.known_reduced
+
+    def test_union_is_unmarked_and_merge_is_marked(self):
+        left = ClauseSet.from_strs(VOCAB, ["A1"]).reduce()
+        right = ClauseSet.from_strs(VOCAB, ["A1 | A2"]).reduce()
+        assert not left.union(right).known_reduced
+        merged = left.merge(right)
+        assert merged.known_reduced
+        assert merged == left
+
+    def test_without_letters_keeps_the_mark(self):
+        cs = ClauseSet.from_strs(VOCAB, ["A1 | A2", "A3"])
+        assert not cs.without_letters([0]).known_reduced
+        assert cs.reduce().without_letters([0]).known_reduced
+
+
 class TestClauseSignatures:
     def test_signature_sets_one_bit_per_letter(self):
         from repro.logic.clauses import clause_signature

@@ -12,9 +12,17 @@ letters.
 
 import random
 
-from repro.logic.clauses import Clause, ClauseSet, make_literal
+from repro.blu.clausal_mask import clausal_mask
+from repro.logic.clauses import EMPTY_CLAUSE, Clause, ClauseSet, clause_sort_key, make_literal
 from repro.logic.propositions import Vocabulary
-from repro.logic.resolution import rclosure, resolution_closure, resolvent, unit_resolve
+from repro.logic.resolution import (
+    eliminate_letter,
+    rclosure,
+    resolution_closure,
+    resolvent,
+    unit_resolve,
+)
+from repro.obs import core as obs
 from repro.logic.sat import count_models, count_models_exact, is_satisfiable, solve
 from repro.logic.semantics import models_of_clauses
 
@@ -120,6 +128,129 @@ class TestReduceDifferential:
         cs = ClauseSet(vocab, clauses)
         assert cs.reduce() == _reference_reduce(cs)
         assert cs.reduce().clauses == frozenset({frozenset({1}), frozenset({-3, 4})})
+
+
+def _reference_eliminate(clause_set: ClauseSet, index: int) -> ClauseSet:
+    """The seed's mask step: rclosure on the letter, drop it, reduce."""
+    closed = _reference_rclosure(clause_set, [index])
+    literal = make_literal(index)
+    kept = [c for c in closed.clauses if literal not in c and -literal not in c]
+    return _reference_reduce(ClauseSet(clause_set.vocabulary, kept))
+
+
+def _resolvents_formed(thunk):
+    """Run ``thunk`` with the obs counters on; return its result and the
+    ``logic.resolution.resolvents_formed`` count it made."""
+    obs.enable()
+    obs.reset()
+    try:
+        result = thunk()
+        return result, obs.counters().snapshot().get(
+            "logic.resolution.resolvents_formed", 0
+        )
+    finally:
+        obs.reset()
+        obs.disable()
+
+
+def _maybe_marked(rng: random.Random, clause_set: ClauseSet) -> ClauseSet:
+    """The set as built (unmarked) or its reduced, marked form."""
+    return clause_set.reduce() if rng.random() < 0.6 else clause_set
+
+
+class TestMergeDifferential:
+    """``merge`` is ``union`` then ``reduce``, marked base or not."""
+
+    def test_merge_matches_reference_on_random_sets(self):
+        rng = random.Random(2302)
+        for case in range(300):
+            vocab = Vocabulary.standard(rng.randint(2, 40))
+            base_clauses = set(
+                _random_clause_set(rng, vocab, rng.randint(0, 30), 4).clauses
+            )
+            if rng.random() < 0.05:
+                base_clauses.add(EMPTY_CLAUSE)
+            base = _maybe_marked(rng, ClauseSet(vocab, base_clauses))
+            # Up to 60 new clauses, so both the scan and the indexed
+            # merge run; some are already in the base.
+            extra_clauses = set(
+                _random_clause_set(rng, vocab, rng.randint(0, 60), 4).clauses
+            )
+            if base.clauses and rng.random() < 0.4:
+                ordered = sorted(base.clauses, key=clause_sort_key)
+                extra_clauses.update(rng.sample(ordered, rng.randint(1, len(ordered))))
+            if rng.random() < 0.05:
+                extra_clauses.add(EMPTY_CLAUSE)
+            extra = _maybe_marked(rng, ClauseSet(vocab, extra_clauses))
+            merged = base.merge(extra)
+            assert merged == _reference_reduce(base.union(extra)), f"case {case}"
+            assert merged.known_reduced
+
+    def test_merge_of_nothing_new_returns_the_base(self):
+        vocab = Vocabulary.standard(4)
+        base = ClauseSet.from_strs(vocab, ["A1 | A2", "~A3"]).reduce()
+        assert base.merge(ClauseSet.from_strs(vocab, ["~A3"])) is base
+        assert base.merge(ClauseSet.from_strs(vocab, ["~A3 | A4"])) is base
+
+
+class TestEliminateLetterDifferential:
+    """The one-round Davis-Putnam step against the seed's
+    rclosure-drop-reduce, in value and in ``resolvents_formed``."""
+
+    def _random_input(self, rng: random.Random) -> tuple[ClauseSet, int]:
+        vocab = Vocabulary.standard(rng.randint(2, 40))
+        clauses = set(_random_clause_set(rng, vocab, rng.randint(1, 25), 4).clauses)
+        # Often a letter that does not occur (large vocabularies).
+        index = rng.randrange(len(vocab))
+        if rng.random() < 0.1:
+            # Complementary units: the empty clause is a resolvent.
+            literal = make_literal(index)
+            clauses.update((frozenset({literal}), frozenset({-literal})))
+        if rng.random() < 0.03:
+            clauses.add(EMPTY_CLAUSE)
+        return _maybe_marked(rng, ClauseSet(vocab, clauses)), index
+
+    def test_eliminate_letter_matches_reference_on_random_sets(self):
+        rng = random.Random(1987_2)
+        for case in range(300):
+            cs, index = self._random_input(rng)
+            result, formed = _resolvents_formed(lambda: eliminate_letter(cs, index))
+            assert result == _reference_eliminate(cs, index), f"case {case}: {cs} on {index}"
+            assert result.known_reduced
+            _, closure_formed = _resolvents_formed(lambda: rclosure(cs, [index]))
+            assert formed == closure_formed, f"case {case}"
+
+    def test_clausal_mask_matches_reference_on_random_sets(self):
+        rng = random.Random(235)
+        for case in range(150):
+            cs, _ = self._random_input(rng)
+            vocab = cs.vocabulary
+            letters = rng.sample(range(len(vocab)), rng.randint(1, min(4, len(vocab))))
+            masked, formed = _resolvents_formed(lambda: clausal_mask(cs, letters))
+            expected = cs
+            expected_formed = 0
+            for index in sorted(letters):
+                _, step_formed = _resolvents_formed(
+                    lambda: rclosure(expected, [index])
+                )
+                expected_formed += step_formed
+                expected = _reference_eliminate(expected, index)
+            assert masked == expected, f"case {case}: {cs} on {letters}"
+            assert formed == expected_formed, f"case {case}"
+
+    def test_unsimplified_mask_is_raw_rclosure_then_drop(self):
+        rng = random.Random(236)
+        for case in range(60):
+            cs, _ = self._random_input(rng)
+            letters = rng.sample(range(len(cs.vocabulary)), rng.randint(1, 2))
+            expected = cs
+            for index in sorted(letters):
+                closed = _reference_rclosure(expected, [index])
+                literal = make_literal(index)
+                expected = ClauseSet(cs.vocabulary, [
+                    c for c in closed.clauses if literal not in c and -literal not in c
+                ])
+            assert clausal_mask(cs, letters, simplify=False) == expected, f"case {case}"
 
 
 class TestRclosureDifferential:

@@ -65,6 +65,39 @@ class TestRclosure:
         assert models_of_clauses(rclosure(cs, [0, 1])) == models_of_clauses(cs)
 
 
+class TestRclosurePairSchedule:
+    """Each pair of input clauses is resolved once, not once from each
+    side: all inputs are indexed before the worklist starts."""
+
+    def test_each_input_pair_resolved_once(self, monkeypatch):
+        from repro.logic import resolution
+        from repro.obs import core as obs
+
+        calls = []
+
+        def counting_resolvent(clause_pos, clause_neg, index):
+            calls.append((clause_pos, clause_neg))
+            return resolvent(clause_pos, clause_neg, index)
+
+        monkeypatch.setattr(resolution, "resolvent", counting_resolvent)
+        cs = ClauseSet.from_strs(VOCAB, ["A1 | A2", "~A1 | A3", "~A1 | ~A2"])
+        obs.enable()
+        obs.reset()
+        try:
+            closed = rclosure(cs, [0])
+            counts = obs.counters().snapshot()
+        finally:
+            obs.reset()
+            obs.disable()
+        assert closed == ClauseSet.from_strs(
+            VOCAB, ["A1 | A2", "~A1 | A3", "~A1 | ~A2", "A2 | A3"]
+        )
+        assert len(calls) == 2
+        assert len(set(calls)) == 2
+        assert counts["logic.resolution.tautologies_discarded"] == 1
+        assert counts["logic.resolution.resolvents_formed"] == 1
+
+
 class TestDrop:
     def test_drop_removes_mentioning_clauses(self):
         cs = ClauseSet.from_strs(VOCAB, ["A1 | A2", "A3", "~A1"])
@@ -103,6 +136,14 @@ class TestEliminateLetter:
     def test_eliminating_unused_letter_is_identity_up_to_reduce(self):
         cs = ClauseSet.from_strs(VOCAB, ["A1 | A2"])
         assert eliminate_letter(cs, 4) == cs
+
+    def test_rejects_letters_outside_the_vocabulary(self):
+        from repro.errors import VocabularyError
+
+        cs = ClauseSet.from_strs(VOCAB, ["A1 | A2"])
+        for index in (-1, 5):
+            with pytest.raises(VocabularyError):
+                eliminate_letter(cs, index)
 
     def test_unsatisfiable_stays_unsatisfiable_if_letter_irrelevant(self):
         cs = ClauseSet.from_strs(VOCAB, ["A1", "~A1"])

@@ -116,6 +116,28 @@ class TestMalformedRejection:
             == "bad-request"
         )
 
+    def test_open_limits_instance_letters(self):
+        limit = protocol.MAX_INSTANCE_LETTERS
+        names = json.dumps([f"P{i}" for i in range(limit + 1)])
+        for letters in (str(limit + 1), "24", names):
+            with pytest.raises(ProtocolError) as info:
+                protocol.parse_request(
+                    '{"id": 1, "op": "open", "session": "s", '
+                    f'"backend": "instance", "letters": {letters}}}'
+                )
+            assert info.value.code == "bad-request"
+            assert str(limit) in str(info.value)
+            assert "clausal" in str(info.value)
+        at_limit = protocol.parse_request(
+            '{"id": 1, "op": "open", "session": "s", '
+            f'"backend": "instance", "letters": {limit}}}'
+        )
+        assert at_limit.params["letters"] == limit
+        clausal = protocol.parse_request(
+            '{"id": 1, "op": "open", "session": "s", "letters": 40}'
+        )
+        assert clausal.params["backend"] == "clausal"
+
     def test_update_rejects_blank_program(self):
         assert (
             _code_of('{"id": 1, "op": "update", "session": "s", "program": " "}')

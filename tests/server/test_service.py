@@ -63,6 +63,24 @@ def run_service(test, **service_kwargs):
     return asyncio.run(_go())
 
 
+class TestTransport:
+    def test_connections_read_in_small_chunks(self):
+        from repro.server.service import READ_CHUNK_BYTES
+
+        async def scenario(path, service):
+            client = await Client.connect(path)
+            assert (await client.call("hello"))["ok"]
+            (writer,) = service._writers
+            assert writer.transport.max_size == READ_CHUNK_BYTES
+            # A line longer than one read still arrives whole.
+            long_name = "s" * (3 * READ_CHUNK_BYTES)
+            opened = await client.call("open", session=long_name, letters=2)
+            assert opened["ok"]
+            await client.close()
+
+        run_service(scenario)
+
+
 class TestDispatch:
     def test_happy_path_update_query_undo_state_close(self):
         async def scenario(path, service):
