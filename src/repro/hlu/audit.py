@@ -268,7 +268,10 @@ def register_session(db: Any) -> SessionAudit:
 
     out = _SINK if _SINK is not None else enable()
     session_id = f"s{os.getpid()}-{next(_SESSION_IDS)}"
-    clauses = db.clauses()
+    # Outside the counters, like the fingerprints (an instance state is
+    # converted to clauses here).
+    with obs.suspended():
+        clauses = db.clauses()
     out.write(
         {
             "schema": AUDIT_SCHEMA_VERSION,

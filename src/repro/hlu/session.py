@@ -158,7 +158,7 @@ class IncompleteDatabase:
         """
         entry = None
         if audit_mod._ENABLED and self._audit is not None:
-            entry = self._audit.begin("apply", str(update), self.clauses().fingerprint)
+            entry = self._audit.begin("apply", str(update), self._fingerprint())
         with runtime.timed("hlu.update"), obs.span(
             "hlu.apply",
             update=type(update).__name__.lower(),
@@ -196,7 +196,7 @@ class IncompleteDatabase:
         self._after_transition(old_state, new_state)
         if entry is not None:
             self._audit.commit(
-                entry, self._outcome(), post=self.clauses().fingerprint
+                entry, self._outcome(), post=self._fingerprint()
             )
         return self
 
@@ -213,7 +213,7 @@ class IncompleteDatabase:
         """
         entry = None
         if audit_mod._ENABLED and self._audit is not None:
-            entry = self._audit.begin("undo", "", self.clauses().fingerprint)
+            entry = self._audit.begin("undo", "", self._fingerprint())
         if not self._snapshots:
             if entry is not None:
                 self._audit.commit(entry, "rejected", error="nothing to undo")
@@ -231,7 +231,7 @@ class IncompleteDatabase:
             _LOG.info("undo applied", extra={"backend": self._backend_name})
         if entry is not None:
             self._audit.commit(
-                entry, self._outcome(), post=self.clauses().fingerprint
+                entry, self._outcome(), post=self._fingerprint()
             )
         return self
 
@@ -261,12 +261,12 @@ class IncompleteDatabase:
             entry = self._audit.begin(
                 "restore_history",
                 " ".join(str(update) for update in update_list),
-                self.clauses().fingerprint,
+                self._fingerprint(),
             )
         self._history = update_list
         self._snapshots.clear()
         if entry is not None:
-            self._audit.commit(entry, "ok", post=self.clauses().fingerprint)
+            self._audit.commit(entry, "ok", post=self._fingerprint())
         return self
 
     def attach_audit(self) -> audit_mod.SessionAudit:
@@ -334,7 +334,7 @@ class IncompleteDatabase:
         entry = None
         if audit_mod._ENABLED and self._audit is not None:
             entry = self._audit.begin(
-                "query_certain", str(formula), self.clauses().fingerprint
+                "query_certain", str(formula), self._fingerprint()
             )
         with runtime.timed("hlu.query"), obs.span(
             "hlu.is_certain", backend=self._backend_name
@@ -367,7 +367,7 @@ class IncompleteDatabase:
         entry = None
         if audit_mod._ENABLED and self._audit is not None:
             entry = self._audit.begin(
-                "query_possible", str(formula), self.clauses().fingerprint
+                "query_possible", str(formula), self._fingerprint()
             )
         with runtime.timed("hlu.query"), obs.span(
             "hlu.is_possible", backend=self._backend_name
@@ -499,6 +499,14 @@ class IncompleteDatabase:
 
             inserts, deletes = clause_delta(old_state, new_state)
             obs.observe("hlu.update.delta_size", len(inserts) + len(deletes))
+
+    def _fingerprint(self) -> tuple[int, int, bytes]:
+        """The audit fingerprint of the current state, computed with
+        :mod:`repro.obs` suspended.  On the instance backend it converts
+        the world set to clauses (CNF plus a reduce): work of the audit,
+        which must not count towards the operation it records."""
+        with obs.suspended():
+            return self.clauses().fingerprint
 
     def _outcome(self) -> str:
         """The audit outcome of the current state: ``"inconsistent"`` when

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.errors import ParseError
 from repro.hlu import language
-from repro.logic.parser import parse_formula
+from repro.logic.parser import MAX_NESTING, parse_formula
 
 __all__ = ["parse_update", "parse_updates"]
 
@@ -128,7 +128,7 @@ class _Parser:
         if got != token:
             raise ParseError(f"expected {token!r}, got {got!r}", self.text)
 
-    def parse_program(self) -> language.Update:
+    def parse_program(self, depth: int = 0) -> language.Update:
         self.expect("(")
         head = self.take()
         if head == "assert":
@@ -144,11 +144,15 @@ class _Parser:
             new = _parse_w(self.take(), self.text)
             update = language.Modify(old, new)
         elif head == "where":
+            if depth >= MAX_NESTING:
+                raise ParseError(
+                    f"where clauses nest deeper than {MAX_NESTING} levels", self.text
+                )
             condition = _parse_w(self.take(), self.text)
-            then = self.parse_program()
+            then = self.parse_program(depth + 1)
             otherwise = None
             if self.peek() == "(":
-                otherwise = self.parse_program()
+                otherwise = self.parse_program(depth + 1)
             update = language.Where(condition, then, otherwise)
         else:
             raise ParseError(f"unknown HLU operation {head!r}", self.text)

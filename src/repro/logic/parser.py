@@ -40,7 +40,13 @@ from repro.logic.formula import (
     Var,
 )
 
-__all__ = ["parse_formula", "parse_formulas"]
+__all__ = ["MAX_NESTING", "parse_formula", "parse_formulas"]
+
+#: How deep a formula may nest: parentheses, negations, and the chained
+#: operands of ``->`` and ``<->``.  The parser and every walk over a
+#: formula recurse once per level, so without a bound a few hundred
+#: parentheses or a long ``~~~...`` exhaust the Python stack.
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"""
@@ -85,6 +91,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         if self.index < len(self.tokens):
@@ -95,6 +102,14 @@ class _Parser:
         token = self.tokens[self.index]
         self.index += 1
         return token
+
+    def nest(self, pos: int) -> None:
+        """Enter one more level of nesting; refuse past :data:`MAX_NESTING`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"formula nests deeper than {MAX_NESTING} levels", self.text, pos
+            )
 
     def expect(self, kind: str) -> tuple[str, str, int]:
         if self.peek() != kind:
@@ -118,18 +133,21 @@ class _Parser:
         return result
 
     def parse_iff(self) -> Formula:
+        depth = self.depth
         left = self.parse_implies()
         while self.peek() == "iff":
-            self.advance()
+            self.nest(self.advance()[2])
             right = self.parse_implies()
             left = Iff(left, right)
+        self.depth = depth
         return left
 
     def parse_implies(self) -> Formula:
         left = self.parse_or()
         if self.peek() == "implies":
-            self.advance()
+            self.nest(self.advance()[2])
             right = self.parse_implies()
+            self.depth -= 1
             return Implies(left, right)
         return left
 
@@ -153,16 +171,19 @@ class _Parser:
 
     def parse_unary(self) -> Formula:
         if self.peek() == "not":
-            self.advance()
-            return Not(self.parse_unary())
+            self.nest(self.advance()[2])
+            operand = self.parse_unary()
+            self.depth -= 1
+            return Not(operand)
         return self.parse_atom()
 
     def parse_atom(self) -> Formula:
         kind = self.peek()
         if kind == "lparen":
-            self.advance()
+            self.nest(self.advance()[2])
             inner = self.parse_iff()
             self.expect("rparen")
+            self.depth -= 1
             return inner
         if kind == "name":
             _, lexeme, _ = self.advance()

@@ -15,12 +15,15 @@ letters suffice on E11-style Wilkins instances; see
 ``tests/logic/test_sat_deepchain.py``).  Unit propagation is driven by a
 literal-occurrence index with per-clause satisfied/unassigned counters,
 so assigning a literal touches only the clauses containing it -- the seed
-rebuilt the entire simplified clause list on every propagation step.
+rebuilt the entire simplified clause list on every propagation step.  The
+decision search also counts, per literal, the open clauses containing it,
+so its pure literals and its branching literal come from the counts
+instead of a pass over every open clause.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 
 from repro.cache import core as cache
 from repro.obs import core as obs
@@ -74,10 +77,15 @@ class _SolverState:
         record_provenance: bool = False,
     ):
         self.clauses = clauses
-        self.occ: dict[Literal, list[int]] = {}
+        occ: dict[Literal, list[int]] = {}
         for cid, clause in enumerate(clauses):
             for literal in clause:
-                self.occ.setdefault(literal, []).append(cid)
+                bucket = occ.get(literal)
+                if bucket is None:
+                    occ[literal] = [cid]
+                else:
+                    bucket.append(cid)
+        self.occ = occ
         self.assignment = assignment
         self.trail: list[int] = []
         self.n_true = [0] * len(clauses)
@@ -109,12 +117,15 @@ class _SolverState:
                 self.reasons[index] = rec.record(
                     frozenset((literal,)), "assumption"
                 )
-        # Fold any pre-existing assignment (the caller's assumptions) into
-        # the counters, then pick up the clauses that start unit or empty.
+        self._fold(assignment)
+
+    def _fold(self, assignment: dict[int, bool]) -> None:
+        """Fold a pre-existing assignment (the caller's assumptions) into
+        the counters, then pick up the clauses that start unit or empty."""
         for index, value in assignment.items():
             if not self._apply(index, value):
                 self.root_conflict = True
-        for cid in range(len(clauses)):
+        for cid in range(len(self.clauses)):
             if self.n_true[cid] == 0:
                 if self.n_free[cid] == 0:
                     self.root_conflict = True
@@ -232,37 +243,131 @@ class _SolverState:
                 n_free[cid] += 1
         self.unit_queue.clear()
 
-    def scan_open(self) -> tuple[list[tuple[int, bool]], Counter]:
-        """One pass over the open clauses: pure literals + literal counts.
 
-        Returns ``(pures, counts)`` where ``pures`` are the assignments
-        pure-literal elimination may make (each unassigned letter whose
-        open-clause occurrences all share one polarity) and ``counts``
-        tallies unassigned literal occurrences for the branching
-        heuristic.
-        """
+class _DecisionState(_SolverState):
+    """The decision search's state: open-clause counts per literal on top.
+
+    ``open_count[literal]`` is the number of open clauses containing
+    ``literal``.  It changes only when a clause's ``n_true`` crosses zero
+    (closing in ``_apply``, reopening in ``undo_to``), so one assignment
+    costs time linear in the clauses it closes.  From the counts the
+    search reads its pure literals and its branching literal without
+    rescanning the clauses.  Model counting keeps the plain
+    :class:`_SolverState`: it uses neither, and the bookkeeping would
+    only slow it down.
+    """
+
+    __slots__ = ("open_count", "pure_queue")
+
+    def _fold(self, assignment: dict[int, bool]) -> None:
+        """Start the open counts from the occurrence lists, before the
+        assumptions close any clause.  Every literal is a candidate for
+        the first pure-literal round; ``_apply`` queues the later ones."""
+        self.open_count = {literal: len(cids) for literal, cids in self.occ.items()}
+        self.pure_queue = list(self.open_count)
+        super()._fold(assignment)
+
+    def _apply(self, index: int, value: bool) -> bool:
+        """:meth:`_SolverState._apply`, plus the open counts of every
+        clause the literal closes.  A literal whose last open occurrence
+        goes queues its complement as a possible pure literal."""
+        literal = index + 1 if value else -(index + 1)
+        clauses = self.clauses
+        n_true = self.n_true
+        n_free = self.n_free
+        open_count = self.open_count
+        for cid in self.occ.get(literal, ()):
+            if n_true[cid] == 0:
+                self.open_clauses -= 1
+                for other in clauses[cid]:
+                    left = open_count[other] - 1
+                    open_count[other] = left
+                    if not left:
+                        self.pure_queue.append(-other)
+            n_true[cid] += 1
+        ok = True
+        for cid in self.occ.get(-literal, ()):
+            n_free[cid] -= 1
+            if n_true[cid] == 0:
+                if n_free[cid] == 0:
+                    ok = False
+                    self.conflict_cid = cid
+                elif n_free[cid] == 1:
+                    self.unit_queue.append(cid)
+        return ok
+
+    def undo_to(self, mark: int) -> None:
+        """:meth:`_SolverState.undo_to`, plus the open counts of every
+        clause that reopens.  The state at a decision's mark has no pure
+        literal (the cascade ran to fixpoint first), so the pure queue
+        empties too."""
+        clauses = self.clauses
+        n_true = self.n_true
+        n_free = self.n_free
+        open_count = self.open_count
+        while len(self.trail) > mark:
+            index = self.trail.pop()
+            value = self.assignment.pop(index)
+            literal = index + 1 if value else -(index + 1)
+            for cid in self.occ.get(literal, ()):
+                n_true[cid] -= 1
+                if n_true[cid] == 0:
+                    self.open_clauses += 1
+                    for other in clauses[cid]:
+                        open_count[other] += 1
+            for cid in self.occ.get(-literal, ()):
+                n_free[cid] += 1
+        self.unit_queue.clear()
+        self.pure_queue.clear()
+
+    def take_pures(self) -> list[Literal]:
+        """One round of pure-literal elimination: the queued literals that
+        are pure now (unassigned, in some open clause, complement in
+        none), each once.  Empties the queue; assigning the round queues
+        the next."""
+        queued = self.pure_queue
+        if not queued:
+            return queued
+        self.pure_queue = []
+        open_count = self.open_count
         assignment = self.assignment
-        polarity: dict[int, int] = {}
-        counts: Counter[Literal] = Counter()
-        for cid, clause in enumerate(self.clauses):
-            if self.n_true[cid] > 0:
-                continue
-            for literal in clause:
-                index = abs(literal) - 1
-                if index in assignment:
-                    continue
-                counts[literal] += 1
-                sign = 1 if literal > 0 else -1
-                previous = polarity.get(index)
-                if previous is None:
-                    polarity[index] = sign
-                elif previous != sign:
-                    polarity[index] = 0
-        pures = [(index, sign > 0) for index, sign in polarity.items() if sign != 0]
-        return pures, counts
+        return [
+            literal
+            for literal in dict.fromkeys(queued)
+            if open_count.get(literal)
+            and not open_count.get(-literal)
+            and (abs(literal) - 1) not in assignment
+        ]
+
+    def branch_literal(self) -> Literal:
+        """The most frequent literal among open clauses of unassigned
+        letters; of several, the one a clause-order scan meets first (its
+        first open clause, then its place in that clause)."""
+        assignment = self.assignment
+        best = 0
+        tied: list[Literal] = []
+        for literal, count in self.open_count.items():
+            if count >= best and count and (abs(literal) - 1) not in assignment:
+                if count > best:
+                    best = count
+                    tied = [literal]
+                else:
+                    tied.append(literal)
+        if len(tied) == 1:
+            return tied[0]
+        n_true = self.n_true
+        first = len(self.clauses)
+        for literal in tied:
+            for cid in self.occ[literal]:
+                if n_true[cid] == 0:
+                    if cid < first:
+                        first = cid
+                    break
+        candidates = set(tied)
+        return next(literal for literal in self.clauses[first] if literal in candidates)
 
 
-def _search(state: _SolverState) -> dict[int, bool] | None:
+def _search(state: _DecisionState) -> dict[int, bool] | None:
     """Iterative DPLL over a prepared solver state."""
     # Each frame is (variable index, first value tried, trail mark, flipped).
     frames: list[tuple[int, bool, int, bool]] = []
@@ -274,20 +379,21 @@ def _search(state: _SolverState) -> dict[int, bool] | None:
             # choice or a decision, neither of which is a consequence of
             # the clause set -- stop recording provenance.
             state.prov_active = False
-            # Cascading pure-literal elimination.  Assigning a pure literal
-            # can only satisfy open clauses (its negation occurs in none of
-            # them), so no propagation or conflict can result; satisfied
-            # clauses may expose new pure letters, hence the loop.
+            # Cascading pure-literal elimination, in rounds: a round
+            # assigns every letter pure at its start.  Assigning a pure
+            # literal can only satisfy open clauses (its negation occurs
+            # in none of them), so no propagation or conflict can result;
+            # satisfied clauses may expose new pure letters, hence the
+            # loop.
             while True:
-                pures, counts = state.scan_open()
+                pures = state.take_pures()
                 if not pures:
                     break
-                for index, value in pures:
-                    state.assign(index, value)
+                for literal in pures:
+                    state.assign(abs(literal) - 1, literal > 0)
                 if state.open_clauses == 0:
                     return dict(state.assignment)
-            # Branch on the most frequent literal among open clauses.
-            literal, _ = counts.most_common(1)[0]
+            literal = state.branch_literal()
             index = abs(literal) - 1
             first = literal > 0
             obs.inc("logic.sat.decisions")
@@ -333,7 +439,7 @@ def solve(clause_set: ClauseSet, assumptions: tuple[Literal, ...] = ()) -> dict[
     ):
         obs.inc("logic.sat.solve_calls")
         return _search(
-            _SolverState(
+            _DecisionState(
                 list(clause_set.clauses),
                 assignment,
                 record_provenance=provenance._ENABLED,

@@ -33,6 +33,7 @@ from repro.obs.core import (
     observe,
     reset,
     span,
+    suspended,
     tracer,
     track_memory,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "disable",
     "is_enabled",
     "enabled",
+    "suspended",
     "tracer",
     "counters",
     "span",

@@ -42,6 +42,7 @@ __all__ = [
     "disable",
     "is_enabled",
     "enabled",
+    "suspended",
     "tracer",
     "counters",
     "current_span",
@@ -81,6 +82,20 @@ def enabled() -> Iterator[None]:
     global _ENABLED
     previous = _ENABLED
     _ENABLED = True
+    try:
+        yield
+    finally:
+        _ENABLED = previous
+
+
+@contextmanager
+def suspended() -> Iterator[None]:
+    """Disable instrumentation for the dynamic extent of a with-block,
+    restoring the previous flag on exit: work done inside opens no spans
+    and counts nothing."""
+    global _ENABLED
+    previous = _ENABLED
+    _ENABLED = False
     try:
         yield
     finally:

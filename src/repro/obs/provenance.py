@@ -489,9 +489,24 @@ def explain_entailment(
     ``"assumption"`` units and derive the empty clause.  Returns the
     refutation (a conditional proof: premises are the inputs plus the
     assumptions), or ``None`` when the clause is not entailed.
-    """
-    from repro.logic.resolution import _saturate
 
+    The solver answers "not entailed" first, recording nothing: proving
+    it by resolution would mean saturating until nothing new appears,
+    which on a few dozen clauses can run into ``max_clauses``.  Only an
+    entailed clause is saturated, and that stops at the empty clause.
+    """
+    global _ENABLED
+    from repro.logic.resolution import _saturate
+    from repro.logic.sat import entails_clause
+
+    previous_flag = _ENABLED
+    _ENABLED = False
+    try:
+        entailed = entails_clause(clause_set, clause)
+    finally:
+        _ENABLED = previous_flag
+    if not entailed:
+        return None
     assumptions = [frozenset((-lit,)) for lit in clause]
     with recording() as active:
         for unit in assumptions:

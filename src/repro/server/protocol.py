@@ -43,6 +43,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "MAX_LINE_BYTES",
     "MAX_INSTANCE_LETTERS",
+    "MAX_CLAUSAL_LETTERS",
     "OPS",
     "SESSION_OPS",
     "QUERY_MODES",
@@ -69,8 +70,14 @@ MAX_LINE_BYTES = 1_000_000
 #: Largest vocabulary an ``open`` may give an ``instance`` session.  That
 #: backend enumerates up to ``2**letters`` worlds on the event loop every
 #: client shares: open plus one insert costs ~0.2-0.3 s at 16 letters and
-#: ~6 s (310 MiB) at 20.  The clausal backend has no such limit.
+#: ~6 s (310 MiB) at 20.
 MAX_INSTANCE_LETTERS = 16
+
+#: Largest vocabulary an ``open`` may give a ``clausal`` session.  The
+#: ``open`` response names every letter: at this limit it is ~89 KB and
+#: takes ~0.02 s, well inside :data:`MAX_LINE_BYTES`; 100,000 letters
+#: answer ~989 KB, and a million hold the loop 2 s for an 11 MB line.
+MAX_CLAUSAL_LETTERS = 10_000
 
 #: Every operation the service understands, in documentation order.
 OPS = (
@@ -150,7 +157,10 @@ def parse_request(line: str | bytes) -> Request:
             _fail(f"request line is not UTF-8: {exc}", code="bad-json")
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError; so is an integer literal past
+        # Python's digit limit, and nesting past the decoder's depth
+        # limit raises RecursionError.
         _fail(f"request is not valid JSON: {exc}", code="bad-json")
     return validate_request(record)
 
@@ -215,6 +225,12 @@ def validate_request(record: Any) -> Request:
                 f"'instance' sessions are limited to {MAX_INSTANCE_LETTERS} "
                 f"letters, got {size}; use backend 'clausal' for larger "
                 "vocabularies",
+                request_id=request_id,
+            )
+        if size > MAX_CLAUSAL_LETTERS:
+            _fail(
+                f"sessions are limited to {MAX_CLAUSAL_LETTERS} letters, "
+                f"got {size}",
                 request_id=request_id,
             )
         constraints = record.get("constraints", [])

@@ -30,6 +30,44 @@ def _scripted_trail():
     return trail, db
 
 
+class TestCountersLeaveOutTheAudit:
+    """The fingerprints convert an instance state to clauses (CNF plus a
+    reduce); that work must not show in the operations' obs counters."""
+
+    @staticmethod
+    def _run(audited: bool):
+        from repro.obs import core as obs
+
+        obs.reset()
+        obs.enable()
+        try:
+            trail = audit.enable() if audited else None
+            db = IncompleteDatabase.over(5, backend="instance")
+            db.assert_("~A1 | A3", "A1 | A4", "A4 | A5")
+            before = obs.counters().snapshot()
+            db.insert("A1 | A2")
+            insert_delta = obs.counters().delta(before)
+            db.is_certain("A1 | A2")
+            db.undo()
+            return obs.counters().snapshot(), insert_delta, trail
+        finally:
+            obs.disable()
+            obs.reset()
+            audit.disable()
+
+    def test_audited_updates_count_what_unaudited_ones_do(self):
+        plain, plain_insert, _ = self._run(audited=False)
+        audited, audited_insert, trail = self._run(audited=True)
+        assert plain_insert  # the insert does count kernel work
+        assert audited == plain
+        assert audited_insert == plain_insert
+        (insert,) = [
+            record for record in trail
+            if record["kind"] == "op" and record["args"].startswith("(insert")
+        ]
+        assert insert["counters"] == plain_insert
+
+
 class TestRecording:
     def test_session_record_opens_the_trail(self):
         trail = audit.enable()

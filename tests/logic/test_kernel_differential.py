@@ -11,6 +11,7 @@ letters.
 """
 
 import random
+from collections import Counter
 
 from repro.blu.clausal_mask import clausal_mask
 from repro.logic.clauses import EMPTY_CLAUSE, Clause, ClauseSet, clause_sort_key, make_literal
@@ -23,6 +24,7 @@ from repro.logic.resolution import (
     unit_resolve,
 )
 from repro.obs import core as obs
+from repro.logic import sat
 from repro.logic.sat import count_models, count_models_exact, is_satisfiable, solve
 from repro.logic.semantics import models_of_clauses
 
@@ -335,3 +337,195 @@ class TestSolverDifferential:
             vocab = Vocabulary.standard(12)
             cs = _random_clause_set(rng, vocab, rng.randint(1, 20), 3)
             assert count_models_exact(cs) == count_models(cs)
+
+
+# ---------------------------------------------------------------------------
+# the decision search: open counts vs the scan it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_scan_open(state):
+    """The scan-based solver's one pass over the open clauses: pure
+    literals + literal counts (verbatim, ``self`` renamed)."""
+    assignment = state.assignment
+    polarity: dict[int, int] = {}
+    counts: Counter = Counter()
+    for cid, clause in enumerate(state.clauses):
+        if state.n_true[cid] > 0:
+            continue
+        for literal in clause:
+            index = abs(literal) - 1
+            if index in assignment:
+                continue
+            counts[literal] += 1
+            sign = 1 if literal > 0 else -1
+            previous = polarity.get(index)
+            if previous is None:
+                polarity[index] = sign
+            elif previous != sign:
+                polarity[index] = 0
+    pures = [(index, sign > 0) for index, sign in polarity.items() if sign != 0]
+    return pures, counts
+
+
+def _reference_search(state):
+    """The scan-based solver's ``_search`` (verbatim, obs counters kept:
+    they are what the comparison checks)."""
+    frames: list[tuple[int, bool, int, bool]] = []
+    while True:
+        if state.propagate():
+            if state.open_clauses == 0:
+                return dict(state.assignment)
+            state.prov_active = False
+            while True:
+                pures, counts = _reference_scan_open(state)
+                if not pures:
+                    break
+                for index, value in pures:
+                    state.assign(index, value)
+                if state.open_clauses == 0:
+                    return dict(state.assignment)
+            literal, _ = counts.most_common(1)[0]
+            index = abs(literal) - 1
+            first = literal > 0
+            obs.inc("logic.sat.decisions")
+            frames.append((index, first, len(state.trail), False))
+            state.assign(index, first)
+        else:
+            while frames:
+                index, first, mark, flipped = frames.pop()
+                state.undo_to(mark)
+                if not flipped:
+                    obs.inc("logic.sat.backtracks")
+                    obs.inc("logic.sat.decisions")
+                    frames.append((index, first, mark, True))
+                    state.assign(index, not first)
+                    break
+            else:
+                return None
+
+
+def _reference_solve(clause_set: ClauseSet, assumptions=()):
+    """``solve`` over the plain solver state and the scan-based search."""
+    assignment: dict[int, bool] = {}
+    for literal in assumptions:
+        index = abs(literal) - 1
+        if assignment.get(index, literal > 0) != (literal > 0):
+            return None
+        assignment[index] = literal > 0
+    return _reference_search(sat._SolverState(list(clause_set.clauses), assignment))
+
+
+_SEARCH_COUNTERS = (
+    "logic.sat.decisions",
+    "logic.sat.backtracks",
+    "logic.sat.conflicts",
+    "logic.sat.unit_propagations",
+)
+
+
+def _search_counts(thunk):
+    """Run ``thunk`` with the obs counters on; its result and the
+    search counters it left."""
+    obs.enable()
+    obs.reset()
+    try:
+        result = thunk()
+        snapshot = obs.counters().snapshot()
+        return result, {name: snapshot.get(name, 0) for name in _SEARCH_COUNTERS}
+    finally:
+        obs.reset()
+        obs.disable()
+
+
+def _random_assumptions(rng: random.Random, n: int) -> tuple[int, ...]:
+    """0-3 literals; letters may repeat, so some are complementary."""
+    return tuple(
+        make_literal(rng.randrange(n), rng.random() < 0.5)
+        for _ in range(rng.randint(0, 3))
+    )
+
+
+def _hard_3cnf(rng: random.Random, n: int) -> ClauseSet:
+    """Random 3-CNF near the satisfiability threshold (~4.3 clauses per
+    letter): the instances that make DPLL decide and backtrack."""
+    vocab = Vocabulary.standard(n)
+    return ClauseSet(vocab, [
+        frozenset(make_literal(i, rng.random() < 0.5) for i in rng.sample(range(n), 3))
+        for _ in range(round(4.3 * n))
+    ])
+
+
+def _solver_inputs():
+    """Seeded (clause set, assumptions) pairs: random CNFs of 3-40
+    letters and widths 1-5, hard 3-CNFs, the empty set, and sets holding
+    the empty clause."""
+    rng = random.Random(2302_06246)
+    for _ in range(300):
+        n = rng.randint(3, 40)
+        vocab = Vocabulary.standard(n)
+        clauses = set(_random_clause_set(rng, vocab, rng.randint(1, 4 * n), 5).clauses)
+        if rng.random() < 0.03:
+            clauses.add(EMPTY_CLAUSE)
+        yield ClauseSet(vocab, clauses), _random_assumptions(rng, n)
+    for _ in range(200):
+        n = rng.randint(10, 40)
+        yield _hard_3cnf(rng, n), _random_assumptions(rng, n)
+    for n in (3, 40):
+        vocab = Vocabulary.standard(n)
+        yield ClauseSet(vocab, []), ()
+        yield ClauseSet(vocab, []), _random_assumptions(rng, n)
+        yield ClauseSet(vocab, [EMPTY_CLAUSE]), ()
+        yield ClauseSet(vocab, [EMPTY_CLAUSE, frozenset({1, -2})]), (2,)
+
+
+def _satisfies(clause_set: ClauseSet, assumptions, model) -> bool:
+    """Every clause has a true literal and every assumption holds."""
+    def true(literal):
+        return model.get(abs(literal) - 1) == (literal > 0)
+    return all(any(true(lit) for lit in clause) for clause in clause_set.clauses) and all(
+        true(lit) for lit in assumptions
+    )
+
+
+class TestDecisionSearchDifferential:
+    """``solve`` against the scan-based search it replaced: the same
+    verdicts, models and decision/backtrack/conflict/propagation counts."""
+
+    def test_search_matches_reference_step_for_step(self):
+        decisions = 0
+        for case, (cs, assumptions) in enumerate(_solver_inputs()):
+            model, counts = _search_counts(lambda: solve(cs, assumptions))
+            expected, expected_counts = _search_counts(
+                lambda: _reference_solve(cs, assumptions)
+            )
+            assert (model is None) == (expected is None), f"case {case}: {cs} under {assumptions}"
+            assert counts == expected_counts, f"case {case}: {cs} under {assumptions}"
+            if model is not None:
+                assert model == expected, f"case {case}"
+                assert _satisfies(cs, assumptions, model), f"case {case}: {model}"
+            decisions += counts["logic.sat.decisions"]
+        assert decisions > 2000  # the inputs really exercise the search
+
+    def test_open_counts_equal_a_recount_after_every_backtrack(self, monkeypatch):
+        undo_to = sat._DecisionState.undo_to
+        checked = []
+
+        def checked_undo_to(state, mark):
+            undo_to(state, mark)
+            recount = Counter(
+                literal
+                for cid, clause in enumerate(state.clauses)
+                if state.n_true[cid] == 0
+                for literal in clause
+            )
+            assert {lit: n for lit, n in state.open_count.items() if n} == dict(recount)
+            assert state.open_clauses == sum(1 for n in state.n_true if n == 0)
+            assert not state.pure_queue
+            checked.append(mark)
+
+        monkeypatch.setattr(sat._DecisionState, "undo_to", checked_undo_to)
+        rng = random.Random(43)
+        for _ in range(40):
+            cs = _hard_3cnf(rng, rng.randint(12, 30))
+            solve(cs, _random_assumptions(rng, len(cs.vocabulary)))
+        assert len(checked) > 100

@@ -11,6 +11,7 @@ import pytest
 from repro.errors import ClosureBudgetError, ProvenanceError
 from repro.logic.clauses import ClauseSet, clause_of, make_literal
 from repro.logic.propositions import Vocabulary
+from repro.logic import resolution
 from repro.logic.resolution import resolution_closure, unit_resolve
 from repro.logic.sat import is_satisfiable
 from repro.obs import provenance
@@ -269,6 +270,46 @@ class TestExplainDrivers:
     def test_entailment_returns_none_when_not_entailed(self):
         cs = ClauseSet.from_strs(VOCAB, ["A1 | A2"])
         assert provenance.explain_entailment(cs, frozenset({1})) is None
+
+    @staticmethod
+    def _forty_clauses() -> ClauseSet:
+        """40 distinct random 3-clauses over 24 letters: a stream-sized
+        state whose resolution closure outgrows a small budget."""
+        rng = random.Random(40)
+        vocab = Vocabulary.standard(24)
+        clauses: set = set()
+        while len(clauses) < 40:
+            clauses.add(frozenset(
+                make_literal(i, rng.random() < 0.5) for i in rng.sample(range(24), 3)
+            ))
+        return ClauseSet(vocab, clauses)
+
+    def test_non_entailed_target_answers_without_saturating(self):
+        # Proving "not entailed" by saturation overruns this budget.
+        cs = self._forty_clauses()
+        for target in (frozenset({1}), frozenset({1, 2, 3, 4})):
+            assert is_satisfiable(cs, tuple(-lit for lit in target))
+            assert provenance.explain_entailment(cs, target, max_clauses=5000) is None
+
+    def test_precheck_records_nothing(self):
+        cs = ClauseSet.from_strs(VOCAB, ["A1 | A2", "~A2 | A1"])
+        provenance.enable()
+        try:
+            ambient = provenance.reset()
+            assert provenance.explain_entailment(cs, frozenset({2})) is None
+            steps = provenance.explain_entailment(cs, frozenset({1}))
+            assert len(ambient) == 0
+            assert provenance.is_enabled()
+        finally:
+            provenance.disable()
+        # The entailed target's derivation is what saturation alone records.
+        with provenance.recording() as active:
+            active.record(frozenset({-1}), "assumption")
+            resolution._saturate(
+                list(cs.clauses) + [frozenset({-1})], None,
+                max_clauses=100_000, stop_on=EMPTY,
+            )
+            assert steps == active.derivation(EMPTY)
 
     def test_inconsistency_none_on_satisfiable_state(self):
         cs = ClauseSet.from_strs(VOCAB, ["A1 | A2", "~A1 | A3"])

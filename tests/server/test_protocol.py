@@ -138,6 +138,47 @@ class TestMalformedRejection:
         )
         assert clausal.params["backend"] == "clausal"
 
+    def test_open_limits_clausal_letters(self):
+        limit = protocol.MAX_CLAUSAL_LETTERS
+        names = json.dumps([f"P{i}" for i in range(limit + 1)])
+        for letters in (str(limit + 1), "1000000", "1" + "0" * 4000, names):
+            with pytest.raises(ProtocolError) as info:
+                protocol.parse_request(
+                    '{"id": 1, "op": "open", "session": "s", '
+                    f'"letters": {letters}}}'
+                )
+            assert info.value.code == "bad-request"
+            assert str(limit) in str(info.value)
+
+    def test_open_at_the_clausal_limit_answers_within_the_line_bound(self):
+        import asyncio
+
+        from repro.server.service import UpdateService
+
+        limit = protocol.MAX_CLAUSAL_LETTERS
+        names = json.dumps([f"P{i}" for i in range(limit)])
+        for letters in (str(limit), names):
+            line = (
+                '{"id": 1, "op": "open", "session": "s", '
+                f'"letters": {letters}}}'
+            ).encode()
+            response = asyncio.run(UpdateService()._handle_line(line, "c1"))
+            assert response["ok"] and len(response["letters"]) == limit
+            assert len(protocol.encode(response)) <= protocol.MAX_LINE_BYTES
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"[" * 200_000 + b"]" * 200_000,
+            b'{"id": 1, "op": "hello", "x": ' + b"[" * 100_000 + b"}",
+            b'{"id": 1, "op": "hello", "x": 1' + b"0" * 5000 + b"}",
+            b'{"id": 1' + b"0" * 5000 + b', "op": "hello"}',
+        ],
+        ids=["nested-brackets", "nested-unclosed", "huge-int", "huge-id"],
+    )
+    def test_decoder_limits_answer_bad_json(self, line):
+        assert _code_of(line) == "bad-json"
+
     def test_update_rejects_blank_program(self):
         assert (
             _code_of('{"id": 1, "op": "update", "session": "s", "program": " "}')
