@@ -420,13 +420,10 @@ def main(argv: list[str] | None = None) -> int:
             f"unknown experiment(s): {', '.join(unknown)} "
             f"(known: E1..E17, A1..A4)"
         )
-    gate = frozenset(kind.strip() for kind in options.gate.split(",") if kind.strip())
-    bad_kinds = gate - set(baseline_mod.METRIC_KINDS)
-    if bad_kinds:
-        parser.error(
-            f"unknown gate kind(s): {', '.join(sorted(bad_kinds))} "
-            f"(known: {', '.join(baseline_mod.METRIC_KINDS)})"
-        )
+    try:
+        gate = baseline_mod.parse_gate(options.gate)
+    except ValueError as error:
+        parser.error(str(error))
     if options.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {options.jobs}")
     if options.telemetry_interval <= 0:

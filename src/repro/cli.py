@@ -72,9 +72,6 @@ and explain/audit tools::
     python -m repro.cli audit audit.jsonl [--replay] [--limit N]
     python -m repro.cli serve --socket /tmp/repro.sock
         [--telemetry-out feed.jsonl] [--audit-out trail.jsonl]
-    python -m repro.cli loadgen --connect /tmp/repro.sock | --self-host
-        [--clients N] [--duration S] [--scenario mixed|stream|repair]
-        [--live] [--bench-out BENCH_srv.json]
 
 ``bench-diff`` renders the run-vs-baseline regression table and exits
 nonzero when gated metrics regressed (see README "Performance
@@ -98,9 +95,8 @@ session audit trail (exit 2 on drift) and, with ``--replay``, rebuilds
 every session, re-applies each operation, and exits 2 when any recorded
 fingerprint or outcome disagrees; ``serve`` runs the concurrent update
 service (newline-delimited JSON over a Unix or TCP socket, graceful
-drain on SIGTERM -- see :mod:`repro.server`); ``loadgen`` drives N
-seeded concurrent clients at it and can record the run as a schema-v4
-``BENCH`` record with ops/s and latency percentiles.
+drain on SIGTERM -- see :mod:`repro.server`; ``perfbench/run.py``
+measures it and checks every answer).
 """
 
 from __future__ import annotations
@@ -653,13 +649,10 @@ def bench_diff_main(argv: list[str]) -> int:
         help="the baseline run's --trace-out JSONL (requires --attribute)",
     )
     options = parser.parse_args(argv)
-    gate = frozenset(kind.strip() for kind in options.gate.split(",") if kind.strip())
-    bad_kinds = gate - set(baseline_mod.METRIC_KINDS)
-    if bad_kinds:
-        parser.error(
-            f"unknown gate kind(s): {', '.join(sorted(bad_kinds))} "
-            f"(known: {', '.join(baseline_mod.METRIC_KINDS)})"
-        )
+    try:
+        gate = baseline_mod.parse_gate(options.gate)
+    except ValueError as error:
+        parser.error(str(error))
     if (options.trace or options.base_trace) and not options.attribute:
         parser.error("--trace/--base-trace require --attribute")
     against = options.against
@@ -1283,10 +1276,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.server.service import serve_main
 
         return serve_main(argv[1:])
-    if argv and argv[0] == "loadgen":
-        from repro.server.loadgen import loadgen_main
-
-        return loadgen_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-hlu", description="Interactive HLU shell (Hegner, PODS 1987)"
     )

@@ -39,6 +39,7 @@ from repro.logic.formula import (
     Or,
     Var,
 )
+from repro.logic.propositions import CONSTANT_SPELLINGS, NAME_TOKEN
 
 __all__ = ["MAX_NESTING", "parse_formula", "parse_formulas"]
 
@@ -49,7 +50,7 @@ __all__ = ["MAX_NESTING", "parse_formula", "parse_formulas"]
 MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<iff><->|<=>)
   | (?P<implies>->|=>)
@@ -58,12 +59,12 @@ _TOKEN_RE = re.compile(
   | (?P<not>[~!])
   | (?P<lparen>\()
   | (?P<rparen>\))
-  | (?P<name>[A-Za-z_][A-Za-z0-9_.']*|[01])
+  | (?P<name>{NAME_TOKEN})
     """,
     re.VERBOSE,
 )
 
-_CONSTANTS = {"1": TRUE, "0": FALSE, "true": TRUE, "false": FALSE, "TRUE": TRUE, "FALSE": FALSE}
+_CONSTANTS = {spelling: TRUE if truth else FALSE for spelling, truth in CONSTANT_SPELLINGS.items()}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

@@ -12,28 +12,40 @@ paper's algorithms iterate proposition letters in a deterministic order.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.errors import VocabularyError, VocabularyMismatchError
 
-__all__ = ["Vocabulary", "check_same_vocabulary"]
+__all__ = ["NAME_TOKEN", "CONSTANT_SPELLINGS", "Vocabulary", "check_same_vocabulary"]
 
-_NAME_FORBIDDEN = set("()|&~!<->= \t\n\r,'\"")
+#: The formula parser's name token (:mod:`repro.logic.parser`).
+NAME_TOKEN = r"[A-Za-z_][A-Za-z0-9_.']*|[01]"
+
+#: Name tokens the parser reads as the constants 1 (true) and 0 (false).
+CONSTANT_SPELLINGS = {
+    "1": True, "true": True, "TRUE": True, "0": False, "false": False, "FALSE": False,
+}
+
+_NAME_RE = re.compile(NAME_TOKEN)
 
 
 def _validate_name(name: str) -> str:
     """Return ``name`` if usable as a proposition name, else raise.
 
-    Names must be non-empty strings free of whitespace and of the operator
-    and punctuation characters used by the formula parser, so that every
-    vocabulary round-trips through the textual syntax.
+    A name is one whole name token of the formula parser, not a constant
+    spelling and without ``'``, so that every vocabulary round-trips
+    through the textual syntax: each name parses back as its letter.
     """
     if not isinstance(name, str) or not name:
         raise VocabularyError(f"proposition name must be a non-empty string, got {name!r}")
-    if any(ch in _NAME_FORBIDDEN for ch in name):
-        raise VocabularyError(f"proposition name {name!r} contains a reserved character")
-    if name[0].isdigit():
-        raise VocabularyError(f"proposition name {name!r} must not start with a digit")
+    if name in CONSTANT_SPELLINGS:
+        raise VocabularyError(f"proposition name {name!r} reads as a constant")
+    if "'" in name or not _NAME_RE.fullmatch(name):
+        raise VocabularyError(
+            f"proposition name {name!r} is not a name token of the formula "
+            f"parser ([A-Za-z_][A-Za-z0-9_.]*)"
+        )
     return name
 
 

@@ -14,19 +14,15 @@ noise-aware, per-class rules:
 * **fits** -- growth exponents drifting beyond an absolute tolerance in
   *either* direction are flagged (a slope falling from 1.0 to 0.4 is as
   suspicious as one rising to 1.6): they are shape claims, not speed.
-* **throughput** -- service load runs (the schema-4 ``throughput``
-  block): ops/s with a relative band, latency percentiles with
-  *percentile-aware* bands -- the p99 band is wider than the p50 band,
-  because a tail quantile estimated from a few seconds of load is far
-  noisier than the median.  Reported in every diff but **not** in
-  :data:`DEFAULT_GATE`: load numbers from shared CI runners swing too
-  much to block merges by default; gate them explicitly with
-  ``--gate ...,throughput`` where the environment warrants it.
+
+The served path is not compared here: ``perfbench/run.py`` measures it,
+and ``BENCHMARK.json`` declares its bounds.
 
 ``python -m repro.cli bench-diff run.json [--against baseline.json]``
 renders the classification through the bench ``Report`` table renderer;
 ``benchmarks/run_experiments.py --check-regressions`` turns it into a CI
-gate, and ``--update-baseline`` promotes a run.
+gate, and ``--update-baseline`` promotes a run.  Both read their
+``--gate`` through :func:`parse_gate`.
 """
 
 from __future__ import annotations
@@ -52,9 +48,8 @@ __all__ = [
     "classify_seconds",
     "classify_counter",
     "classify_fit",
-    "classify_throughput",
-    "classify_latency",
     "compare",
+    "parse_gate",
     "load_baseline",
     "promote_baseline",
 ]
@@ -62,12 +57,26 @@ __all__ = [
 #: Where the committed baseline lives, relative to the repo root.
 DEFAULT_BASELINE_RELPATH = Path("benchmarks") / "baselines" / "baseline.json"
 
-#: Metric classes, and which of them gate CI by default.  Throughput is
-#: compared and reported but deliberately left out of the default gate
-#: (load numbers are environment-noisy); opt in with an explicit gate
-#: set where the runners are quiet enough.
-METRIC_KINDS = ("seconds", "counter", "fit", "throughput")
-DEFAULT_GATE = frozenset(("seconds", "counter", "fit"))
+#: Metric classes, and which of them gate CI by default.
+METRIC_KINDS = ("seconds", "counter", "fit")
+DEFAULT_GATE = frozenset(METRIC_KINDS)
+
+
+def parse_gate(text: str) -> frozenset[str]:
+    """The metric kinds a ``--gate`` value such as ``"counter,fit"`` names.
+
+    Raises :class:`ValueError` on an unknown kind, and on a value that
+    names no kind at all (``""`` or ``","``, say from an unset CI
+    variable), which would otherwise turn the gate off.
+    """
+    gate = frozenset(kind.strip() for kind in text.split(",") if kind.strip())
+    known = ", ".join(METRIC_KINDS)
+    unknown = gate - set(METRIC_KINDS)
+    if unknown:
+        raise ValueError(f"unknown gate kind(s): {', '.join(sorted(unknown))} (known: {known})")
+    if not gate:
+        raise ValueError(f"gate {text!r} names no metric kind (known: {known})")
+    return gate
 
 
 @dataclass(frozen=True)
@@ -79,37 +88,11 @@ class Thresholds:
     seconds below which timings are pure noise and never compared;
     ``fit_atol`` is the absolute tolerance on fitted exponents.
     Counters take no threshold -- they are exact by design.
-
-    The throughput family is percentile-aware: ``throughput_rtol``
-    bounds relative ops/s drift, and each latency percentile gets its
-    own widening relative band (``latency_rtol_p50`` < ``p90`` < ``p99``
-    -- a windowed p99 over a short load run jitters far more than the
-    median), with ``latency_floor`` the absolute seconds below which
-    latencies are never compared.
     """
 
     seconds_rtol: float = 0.5
     seconds_floor: float = 0.005
     fit_atol: float = 0.35
-    throughput_rtol: float = 0.4
-    latency_rtol_p50: float = 0.75
-    latency_rtol_p90: float = 1.0
-    latency_rtol_p99: float = 1.5
-    latency_floor: float = 0.0005
-
-    def latency_rtol(self, percentile: str) -> float:
-        """The relative tolerance for one latency percentile key."""
-        try:
-            return {
-                "p50": self.latency_rtol_p50,
-                "p90": self.latency_rtol_p90,
-                "p99": self.latency_rtol_p99,
-            }[percentile]
-        except KeyError:
-            raise MetricsError(
-                f"no latency band for percentile {percentile!r} "
-                f"(known: p50, p90, p99)"
-            ) from None
 
 
 #: How many standard deviations of recorded repeat spread widen the
@@ -150,53 +133,6 @@ def classify_seconds(
         return "regressed", ""
     if current < baseline / tolerance - band:
         return "improved", ""
-    return "neutral", ""
-
-
-def classify_throughput(
-    current: float,
-    baseline: float,
-    thresholds: Thresholds = Thresholds(),
-) -> tuple[str, str]:
-    """The ops/s rule: lower throughput regresses, higher improves.
-
-    Mirrors :func:`classify_seconds` with the direction inverted (more
-    operations per second is better) and its own relative band.
-    """
-    if baseline <= 0.0 and current <= 0.0:
-        return "neutral", "no throughput either side"
-    tolerance = 1.0 + thresholds.throughput_rtol
-    if current * tolerance < baseline:
-        return "regressed", ""
-    if current > baseline * tolerance:
-        return "improved", ""
-    return "neutral", ""
-
-
-def classify_latency(
-    current: float | None,
-    baseline: float | None,
-    percentile: str,
-    thresholds: Thresholds = Thresholds(),
-) -> tuple[str, str]:
-    """The percentile-aware latency rule: ``(status, detail)``.
-
-    Each percentile carries its own relative band (tail quantiles are
-    noisier than the median, so the p99 band is the widest), and
-    latencies under ``latency_floor`` seconds are never compared -- at
-    sub-floor scales the socket and scheduler own the number, not the
-    kernel under test.
-    """
-    if current is None or baseline is None:
-        return "neutral", "percentile unavailable"
-    floor = thresholds.latency_floor
-    if current < floor and baseline < floor:
-        return "neutral", "below latency floor"
-    tolerance = 1.0 + thresholds.latency_rtol(percentile)
-    if current > baseline * tolerance:
-        return "regressed", f"{percentile} band +{tolerance - 1.0:.0%}"
-    if current < baseline / tolerance:
-        return "improved", f"{percentile} band +{tolerance - 1.0:.0%}"
     return "neutral", ""
 
 
@@ -388,106 +324,6 @@ def _compare_fits(
     return deltas
 
 
-def _compare_throughput(
-    current: dict[str, object] | None,
-    baseline: dict[str, object] | None,
-    thresholds: Thresholds,
-) -> list[MetricDelta]:
-    """Deltas for the schema-4 ``throughput`` blocks, when comparable.
-
-    A block on only one side is ``added``/``removed`` (neutral for
-    gating, like a skipped experiment); mismatched scenarios are never
-    compared -- a ``stream`` run against a ``mixed`` baseline would
-    manufacture fake regressions.
-    """
-    ident = "throughput"
-    if current is None and baseline is None:
-        return []
-    if baseline is None:
-        assert current is not None
-        return [
-            MetricDelta(
-                ident, "ops_per_second", "throughput", None,
-                float(current["ops_per_second"]), "added",  # type: ignore[arg-type]
-                detail="no throughput in baseline",
-            )
-        ]
-    if current is None:
-        return [
-            MetricDelta(
-                ident, "ops_per_second", "throughput",
-                float(baseline["ops_per_second"]), None, "removed",  # type: ignore[arg-type]
-                detail="no throughput in this run",
-            )
-        ]
-    if current.get("scenario") != baseline.get("scenario"):
-        return [
-            MetricDelta(
-                ident, "ops_per_second", "throughput",
-                float(baseline["ops_per_second"]),  # type: ignore[arg-type]
-                float(current["ops_per_second"]),  # type: ignore[arg-type]
-                "neutral",
-                detail=(
-                    f"scenario mismatch ({baseline.get('scenario')!r} vs "
-                    f"{current.get('scenario')!r}); not compared"
-                ),
-            )
-        ]
-    deltas = []
-    base_total = float(baseline["ops_per_second"])  # type: ignore[arg-type]
-    cur_total = float(current["ops_per_second"])  # type: ignore[arg-type]
-    status, detail = classify_throughput(cur_total, base_total, thresholds)
-    deltas.append(
-        MetricDelta(
-            ident, "ops_per_second", "throughput", base_total, cur_total,
-            status, detail=detail,
-        )
-    )
-    cur_ops = dict(current.get("operations") or {})  # type: ignore[arg-type]
-    base_ops = dict(baseline.get("operations") or {})  # type: ignore[arg-type]
-    for op in sorted(set(cur_ops) | set(base_ops)):
-        if op not in base_ops:
-            deltas.append(
-                MetricDelta(
-                    ident, f"{op}:ops_per_second", "throughput", None,
-                    float(cur_ops[op]["ops_per_second"]), "added",
-                )
-            )
-            continue
-        if op not in cur_ops:
-            deltas.append(
-                MetricDelta(
-                    ident, f"{op}:ops_per_second", "throughput",
-                    float(base_ops[op]["ops_per_second"]), None, "removed",
-                )
-            )
-            continue
-        base_rate = float(base_ops[op]["ops_per_second"])
-        cur_rate = float(cur_ops[op]["ops_per_second"])
-        status, detail = classify_throughput(cur_rate, base_rate, thresholds)
-        deltas.append(
-            MetricDelta(
-                ident, f"{op}:ops_per_second", "throughput", base_rate,
-                cur_rate, status, detail=detail,
-            )
-        )
-        cur_latency = cur_ops[op]["latency_seconds"]
-        base_latency = base_ops[op]["latency_seconds"]
-        for percentile in ("p50", "p90", "p99"):
-            cur_value = cur_latency.get(percentile)
-            base_value = base_latency.get(percentile)
-            status, detail = classify_latency(
-                cur_value, base_value, percentile, thresholds
-            )
-            deltas.append(
-                MetricDelta(
-                    ident, f"{op}:latency:{percentile}", "throughput",
-                    base_value, cur_value, status, detail=detail,
-                )
-            )
-    return deltas
-
-
 def compare(
     run: RunRecord,
     baseline: RunRecord,
@@ -548,9 +384,6 @@ def compare(
                     detail="not in this run",
                 )
             )
-    comparison.deltas.extend(
-        _compare_throughput(run.throughput, baseline.throughput, thresholds)
-    )
     return comparison
 
 

@@ -27,22 +27,6 @@ Schema (version 4)::
           ...
         }
       } | null,
-      "throughput": {                           # service load-run summary,
-        "duration_seconds": float,              # null for ordinary
-        "clients": int,                         # experiment runs
-        "scenario": str,
-        "total_ops": int,
-        "errors": int,
-        "ops_per_second": float,
-        "operations": {
-          "update": {"count": int, "errors": int, "ops_per_second": float,
-                     "latency_seconds": {"mean": float, "p50": float | null,
-                                         "p90": float | null,
-                                         "p99": float | null,
-                                         "max": float | null}},
-          ...
-        }
-      } | null,
       "experiments": [
         {
           "ident": "E1", "title": str, "holds": true | false | null,
@@ -60,11 +44,11 @@ Schema (version 4)::
 
 Version 2 added the opt-in per-experiment ``memory`` block
 (``run_experiments.py --mem``); version 3 added the top-level ``cache``
-block (``run_experiments.py --cache``; see ``repro.cache``); version 4
-added the top-level ``throughput`` block -- the concurrent-service load
-runs of :mod:`repro.server.loadgen`, with windowed ops/s and per-op
-latency percentiles.  Older records still load -- a missing block reads
-as ``null`` -- while records from *newer* schemas raise
+block (``run_experiments.py --cache``; see ``repro.cache``).  Version
+4's top-level ``throughput`` block of service load runs is no longer
+written, and a reader ignores it like any other key it does not read.
+Older records still load -- a missing block reads as ``null`` -- while
+records from *newer* schemas raise
 :class:`~repro.errors.MetricsVersionError` instead of being misread.
 
 Counters are exact, deterministic work counts (seeded workloads), so the
@@ -113,9 +97,8 @@ __all__ = [
 SCHEMA_VERSION = 4
 
 #: Versions this build can read.  Version 1 predates the ``memory``
-#: block, version 2 the ``cache`` block, and version 3 the
-#: ``throughput`` block; loading an older record just leaves the
-#: corresponding field as ``None``.
+#: block and version 2 the ``cache`` block; loading an older record
+#: just leaves the corresponding field as ``None``.
 SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
 
 #: Run-record files are ``BENCH_<UTC timestamp>.json`` at the repo root.
@@ -183,11 +166,6 @@ class RunRecord:
     #: when the run recorded a kernel-cache decision (schema >= 3);
     #: ``None`` for older records.
     cache: dict[str, object] | None = None
-    #: The service load-run summary (schema >= 4): total and per-op
-    #: ops/s plus latency percentiles, as written by
-    #: ``repro.server.loadgen``.  ``None`` for ordinary experiment runs
-    #: and for older records.
-    throughput: dict[str, object] | None = None
 
     def experiment(self, ident: str) -> ExperimentMetrics | None:
         for exp in self.experiments:
@@ -264,7 +242,6 @@ def record_from_reports(
     git_sha: str | None | object = ...,
     root: str | Path | None = None,
     cache: Mapping[str, object] | None = None,
-    throughput: Mapping[str, object] | None = None,
 ) -> RunRecord:
     """Build a :class:`RunRecord` from ``(Report, seconds)`` pairs.
 
@@ -272,9 +249,7 @@ def record_from_reports(
     plain float (one sample), or an already-serialised timing dict.  The
     report's ``counters`` and ``metrics`` channels become the record's
     counter totals and fit exponents.  ``cache`` is the optional
-    kernel-cache block (``{"enabled": bool, "kernels": cache_stats()}``);
-    ``throughput`` the optional load-run block (see
-    ``repro.server.loadgen.report_to_throughput``).
+    kernel-cache block (``{"enabled": bool, "kernels": cache_stats()}``).
     """
     experiments = []
     for report, seconds in reports_with_seconds:
@@ -297,7 +272,6 @@ def record_from_reports(
         fingerprint=machine_fingerprint(),
         experiments=experiments,
         cache=dict(cache) if cache is not None else None,
-        throughput=dict(throughput) if throughput is not None else None,
     )
 
 
@@ -333,34 +307,6 @@ def _cache_json(cache: Mapping[str, object] | None) -> dict[str, object] | None:
     }
 
 
-_LATENCY_KEYS = ("mean", "p50", "p90", "p99", "max")
-_OPERATION_KEYS = frozenset({"count", "errors", "ops_per_second", "latency_seconds"})
-_THROUGHPUT_REQUIRED = frozenset(
-    {
-        "duration_seconds",
-        "clients",
-        "scenario",
-        "total_ops",
-        "errors",
-        "ops_per_second",
-        "operations",
-    }
-)
-
-
-def _throughput_json(
-    throughput: Mapping[str, object] | None,
-) -> dict[str, object] | None:
-    if throughput is None:
-        return None
-    payload = dict(throughput)
-    operations = payload.get("operations") or {}
-    payload["operations"] = {
-        str(op): dict(stats) for op, stats in sorted(dict(operations).items())
-    }
-    return payload
-
-
 def run_record_to_json(record: RunRecord) -> dict[str, object]:
     """The record as a plain JSON-ready dict (non-finite fits -> null)."""
     return {
@@ -369,7 +315,6 @@ def run_record_to_json(record: RunRecord) -> dict[str, object]:
         "git_sha": record.git_sha,
         "fingerprint": dict(record.fingerprint),
         "cache": _cache_json(record.cache),
-        "throughput": _throughput_json(record.throughput),
         "experiments": [
             {
                 "ident": exp.ident,
@@ -457,8 +402,6 @@ def run_record_from_json(data: object) -> RunRecord:
                     )
             kernels[str(kernel)] = {str(k): int(v) for k, v in stats.items()}
         cache = {"enabled": enabled, "kernels": kernels}
-    # Absent before schema 4; null for ordinary experiment runs.
-    throughput = _parse_throughput(data.get("throughput"))
     raw_experiments = _require(data, "experiments", Sequence, "run record")
     if isinstance(raw_experiments, (str, bytes)):
         raise MetricsError("run record: experiments must be a list")
@@ -536,94 +479,7 @@ def run_record_from_json(data: object) -> RunRecord:
         fingerprint=dict(fingerprint),
         experiments=experiments,
         cache=cache,
-        throughput=throughput,
     )
-
-
-def _number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _parse_throughput(raw: object) -> dict[str, object] | None:
-    """Validate the optional schema-4 ``throughput`` block.
-
-    Strict on the keys the baseline comparator reads (counts, ops/s,
-    latency percentiles); additional descriptive keys (``read_fraction``,
-    ``seed``, ``backend``, ...) pass through untouched.
-    """
-    if raw is None:
-        return None
-    if not isinstance(raw, Mapping):
-        raise MetricsError("run record: throughput must be null or an object")
-    missing = _THROUGHPUT_REQUIRED - set(raw)
-    if missing:
-        raise MetricsError(
-            f"run record: throughput is missing keys {sorted(missing)}"
-        )
-    if not _number(raw["duration_seconds"]) or float(raw["duration_seconds"]) <= 0:
-        raise MetricsError(
-            "run record: throughput.duration_seconds must be a positive number"
-        )
-    for key in ("clients", "total_ops", "errors"):
-        value = raw[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise MetricsError(
-                f"run record: throughput.{key} must be a non-negative int"
-            )
-    if not isinstance(raw["scenario"], str) or not raw["scenario"]:
-        raise MetricsError(
-            "run record: throughput.scenario must be a non-empty string"
-        )
-    if not _number(raw["ops_per_second"]):
-        raise MetricsError(
-            "run record: throughput.ops_per_second must be a number"
-        )
-    operations = raw["operations"]
-    if not isinstance(operations, Mapping):
-        raise MetricsError("run record: throughput.operations must be an object")
-    parsed_ops: dict[str, dict[str, object]] = {}
-    for op, stats in operations.items():
-        where = f"throughput.operations[{op!r}]"
-        if not isinstance(stats, Mapping):
-            raise MetricsError(f"run record: {where} must be an object")
-        missing = _OPERATION_KEYS - set(stats)
-        if missing:
-            raise MetricsError(
-                f"run record: {where} is missing keys {sorted(missing)}"
-            )
-        for key in ("count", "errors"):
-            value = stats[key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise MetricsError(
-                    f"run record: {where}.{key} must be a non-negative int"
-                )
-        if not _number(stats["ops_per_second"]):
-            raise MetricsError(
-                f"run record: {where}.ops_per_second must be a number"
-            )
-        latency = stats["latency_seconds"]
-        if not isinstance(latency, Mapping):
-            raise MetricsError(
-                f"run record: {where}.latency_seconds must be an object"
-            )
-        missing = set(_LATENCY_KEYS) - set(latency)
-        if missing:
-            raise MetricsError(
-                f"run record: {where}.latency_seconds is missing keys "
-                f"{sorted(missing)}"
-            )
-        for key in _LATENCY_KEYS:
-            value = latency[key]
-            # Percentiles are null for an empty histogram window.
-            if value is not None and not _number(value):
-                raise MetricsError(
-                    f"run record: {where}.latency_seconds.{key} must be a "
-                    f"number or null"
-                )
-        parsed_ops[str(op)] = dict(stats)
-    result = dict(raw)
-    result["operations"] = parsed_ops
-    return result
 
 
 # ---------------------------------------------------------------------------

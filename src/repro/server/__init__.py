@@ -5,8 +5,7 @@ ROADMAP's north star is a production-scale system serving heavy
 concurrent traffic.  This package is the bridge: a long-lived asyncio
 front end around :class:`repro.hlu.session.IncompleteDatabase` that
 accepts concurrent BLU/HLU update, query, undo, and explain sessions
-over a newline-delimited-JSON socket protocol, plus the load driver
-that turns the bench suite into a throughput story.
+over a newline-delimited-JSON socket protocol.
 
 * :mod:`repro.server.protocol` -- the schema-versioned wire protocol
   (request validation, response shapes, error codes);
@@ -14,13 +13,13 @@ that turns the bench suite into a throughput story.
   (connection-scoped names, idle eviction, live-session gauge);
 * :mod:`repro.server.service` -- the asyncio service itself (TCP or
   Unix socket, graceful drain on SIGTERM, live telemetry and audit
-  wiring, ``python -m repro.cli serve``);
-* :mod:`repro.server.loadgen` -- N concurrent clients with a
-  configurable read/write mix and scenario, a live throughput table,
-  and schema-v4 ``BENCH`` records with ops/s and latency percentiles
-  (``python -m repro.cli loadgen``).
+  wiring, ``python -m repro.cli serve``).
+
+The served path is measured, and every answer checked against an
+offline replay, by the benchmark in ``perfbench/`` (``python3
+perfbench/run.py``; workloads in ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
 
-__all__ = ["protocol", "sessions", "service", "loadgen"]
+__all__ = ["protocol", "sessions", "service"]

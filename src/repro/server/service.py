@@ -29,7 +29,9 @@ Operational surface:
 
 ``python -m repro.cli serve --socket /tmp/repro.sock`` is the CLI
 entry; :class:`UpdateService` plus :meth:`UpdateService.start` is the
-embeddable API the tests and the self-hosted benchmark use.
+embeddable API the tests use.  The benchmark in ``perfbench/`` drives
+the CLI entry over a socket and ``UpdateService._handle_line`` in
+process.
 """
 
 from __future__ import annotations

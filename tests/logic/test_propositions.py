@@ -1,8 +1,11 @@
 """Tests for vocabularies (repro.logic.propositions)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import VocabularyError, VocabularyMismatchError
+from repro.logic.formula import Var
+from repro.logic.parser import parse_formula
 from repro.logic.propositions import Vocabulary, check_same_vocabulary
 
 
@@ -29,9 +32,26 @@ class TestConstruction:
             Vocabulary([""])
 
     def test_reserved_characters_rejected(self):
-        for bad in ("A|B", "A B", "A(B)", "~A", "A&B"):
+        # Constant spellings and characters outside the parser's name
+        # token would not read back as the letter.
+        for bad in ("A|B", "A B", "A(B)", "~A", "A&B", "A'", "true", "false", "TRUE",
+                    "FALSE", "A$", "A{", "A}", "A;", "A:", "A#", "A+", "A-", "A[", "A@",
+                    "A/", "A\\", "A?", "é", "Aé", "A\u00a0", "_\n"):
             with pytest.raises(VocabularyError):
                 Vocabulary([bad])
+
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.text(max_size=6),
+        st.text(alphabet="AEFLRSTUaeflrstu_01.'$é{;|~ ", max_size=6),
+        st.sampled_from(["true", "false", "TRUE", "FALSE", "True", "A1", "_.", "x'"]),
+    ))
+    def test_every_accepted_name_parses_back_as_its_letter(self, name):
+        try:
+            Vocabulary([name])
+        except VocabularyError:
+            return
+        assert parse_formula(name) == Var(name)
 
     def test_leading_digit_rejected(self):
         with pytest.raises(VocabularyError):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.bench.harness import Report, Timing
 from repro.errors import MetricsError, MetricsVersionError
-from repro.obs import metrics
+from repro.obs import baseline, metrics
 
 
 def make_report(ident="E1", **overrides) -> Report:
@@ -175,6 +175,19 @@ class TestJsonRoundTrip:
         restored = metrics.run_record_from_json(data)
         assert restored.schema_version == 1
         assert restored.experiment("E1").memory is None
+
+    def test_schema_v4_record_with_throughput_block_loads_and_compares(self):
+        # Version 4 records once carried a service load-run block; it is
+        # no longer written, and a record that has one still loads and
+        # compares on its experiments.
+        data = metrics.run_record_to_json(make_record())
+        assert "throughput" not in data
+        data["throughput"] = {"scenario": "mixed", "ops_per_second": 2734.1, "operations": {}}
+        restored = metrics.run_record_from_json(data)
+        assert restored.schema_version == 4
+        comparison = baseline.compare(restored, make_record())
+        assert comparison.regressions() == []
+        assert {delta.experiment for delta in comparison.deltas} == {"E1"}
 
     def test_memory_with_wrong_keys_rejected(self):
         data = metrics.run_record_to_json(

@@ -240,8 +240,11 @@ class TestBenchDiffCli:
         assert "--update-baseline" in capsys.readouterr().err
 
     def test_unknown_gate_kind_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit):
-            bench_diff_main(["x.json", "--gate", "bogus"])
+        # An empty gate (say, from an unset CI variable) would gate nothing.
+        for gate in ("bogus", ",", ""):
+            with pytest.raises(SystemExit) as exit_info:
+                bench_diff_main(["x.json", "--gate", gate])
+            assert exit_info.value.code == 2
 
     def test_main_dispatches_bench_diff(self, tmp_path, capsys):
         from repro.cli import main
@@ -342,6 +345,11 @@ class TestRunExperimentsIntegration:
     def test_unknown_experiment_is_usage_error(self, run_main):
         with pytest.raises(SystemExit):
             run_main(["E99"])
+
+    def test_empty_gate_is_usage_error(self, run_main):
+        with pytest.raises(SystemExit) as exit_info:
+            run_main(["E1", "--check-regressions", "--gate", ","])
+        assert exit_info.value.code == 2
 
 
 class TestBenchDiffAttribute:
