@@ -26,13 +26,13 @@ def run_script(letters: int, backend: str) -> IncompleteDatabase:
     return db
 
 
-@pytest.mark.parametrize("letters", [6, 10, 14])
+@pytest.mark.parametrize("letters", [6, 10, 14, 18, 22])
 def test_instance_backend_scaling(benchmark, letters):
     db = benchmark(run_script, letters, "instance")
     assert db.is_consistent()
 
 
-@pytest.mark.parametrize("letters", [6, 10, 14])
+@pytest.mark.parametrize("letters", [6, 10, 14, 18, 22])
 def test_clausal_backend_scaling(benchmark, letters):
     db = benchmark(run_script, letters, "clausal")
     assert db.is_consistent()

@@ -21,7 +21,7 @@ def independent_letter_instance(k: int) -> ClauseSet:
     return ClauseSet(vocabulary, clauses)
 
 
-@pytest.mark.parametrize("letters", [6, 8, 10])
+@pytest.mark.parametrize("letters", [6, 10, 22])
 def test_genmask_worst_case_scaling(benchmark, letters):
     state = independent_letter_instance(letters)
     result = benchmark(clausal_genmask, state)
@@ -30,7 +30,7 @@ def test_genmask_worst_case_scaling(benchmark, letters):
     assert result == frozenset(range(letters))
 
 
-@pytest.mark.parametrize("letters", [8, 10])
+@pytest.mark.parametrize("letters", [10, 22])
 def test_single_independence_check_is_the_expensive_part(benchmark, letters):
     state = independent_letter_instance(letters)
     dependent = benchmark(depends_on, state, letters)

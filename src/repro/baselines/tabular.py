@@ -21,7 +21,6 @@ from collections.abc import Callable
 
 from repro.db.instances import WorldSet
 from repro.logic.propositions import Vocabulary
-from repro.logic.structures import all_worlds
 from repro.obs import core as obs
 
 __all__ = [
@@ -96,10 +95,7 @@ def hlu_insert_transformer(state: WorldSet, payload: WorldSet) -> WorldSet:
 
 def _all_world_sets(vocabulary: Vocabulary) -> list[WorldSet]:
     count = 1 << len(vocabulary)
-    return [
-        WorldSet(vocabulary, (w for w in all_worlds(vocabulary) if bits >> w & 1))
-        for bits in range(1 << count)
-    ]
+    return [WorldSet.from_table(vocabulary, bits) for bits in range(1 << count)]
 
 
 def search_for_transformer(

@@ -268,9 +268,11 @@ def e05_genmask_exponential(seed: int = 15) -> Report:
     rng = random.Random(seed)
     # Worst-case family: a letter z that *occurs* but is *independent*
     # (Phi_k = {(z | A_i), (~z | A_i)} for i = 1..k is equivalent to
-    # conj(A_i)).  Independence has no early exit, so testing z costs the
-    # full 2^k Ldiff enumeration -- the Theorem 2.3.9(b) worst case.
-    letter_counts = [6, 8, 10, 12]
+    # conj(A_i)).  Independence has no early exit, so testing z compares
+    # all 2^k Ldiff pairs -- the Theorem 2.3.9(b) worst case.  On the
+    # truth table that enumeration is a few big-integer operations per
+    # 2^16 worlds, so the 2^k term dominates only from ~20 letters on.
+    letter_counts = [22, 24, 26, 28]
     times = []
     for k in letter_counts:
         vocabulary = Vocabulary.standard(k + 1)
@@ -1249,7 +1251,7 @@ def a03_backend_crossover(seed: int = 31) -> Report:
         db.is_certain("A1 | A2")
         return db
 
-    for letters in (6, 10, 14):
+    for letters in (6, 10, 14, 18, 22):
         instance_measured = measure_with_counters(
             lambda: run_script(letters, "instance"), repeat=2
         )

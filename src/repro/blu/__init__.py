@@ -16,12 +16,7 @@ from repro.blu.definitions import (
     ProgramEnvironment,
     default_environment,
 )
-from repro.blu.clausal_genmask import (
-    clausal_genmask,
-    cls_assignments,
-    depends_on,
-    ldiff,
-)
+from repro.blu.clausal_genmask import clausal_genmask, depends_on
 from repro.blu.clausal_impl import (
     ClausalImplementation,
     clausal_combine,
@@ -63,8 +58,6 @@ __all__ = [
     "clausal_complement",
     "clausal_mask",
     "clausal_genmask",
-    "cls_assignments",
-    "ldiff",
     "depends_on",
     "Emulation",
     "canonical_emulation",

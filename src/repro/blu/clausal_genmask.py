@@ -6,9 +6,17 @@ depends on -- the clause-level counterpart of ``s--mask[Dep[Mod[Phi]]]``.
 The paper's algorithm tests each letter ``A`` in ``Prop[Phi]`` by
 enumerating ``Ldiff[A, Phi]``: pairs of total assignments over ``Prop[Phi]``
 that differ only on ``A``, looking for a pair on which the truth value of
-``Phi`` differs.  Truth under a total assignment is read off via unit
-resolution (``unitres``): a clause reduces to the empty clause exactly when
-the assignment falsifies it, so ``Phi`` holds iff no empty clause appears.
+``Phi`` differs.  This module runs that enumeration on ``Phi``'s truth
+table over ``Prop[Phi]`` (:mod:`repro.logic.truthtable`): the letters of
+``Prop[Phi]`` take local positions ``0 .. k-1`` in index order, bit ``w``
+of the ``2^k``-bit table is the truth value of ``Phi`` under the
+assignment ``w`` (an element of ``CLS[Phi]``), and the pairs of
+``Ldiff[A, Phi]`` are the bits ``w`` and ``w`` with ``A``'s bit set, so
+one shift-compare of the table tests all of them at once.  Up to
+:data:`~repro.logic.truthtable.TABLE_LETTERS` letters the table is built
+once per call; a wider ``Prop[Phi]`` is evaluated one slice per
+assignment of the letters beyond, and each letter stops at the first
+slice, or pair of slices, that shows it dependent.
 
 Implementation note (deviation, documented): Algorithm 2.3.8 as printed
 compares the two unit-resolution *residue sets* for inequality.  Taken
@@ -19,10 +27,11 @@ tautologous ``{A1 | ~A1}``... which the ClauseSet representation already
 normalises away, but ``{A1 | A2, A1 | ~A2}`` still witnesses the bug: A2
 is not dependent).  The evidently intended comparison -- and the one that
 makes Theorem 2.3.9(a) true -- is of the *truth values*, i.e. whether the
-residue contains the empty clause.  That is what is implemented; the
-enumeration structure and complexity (Theorem 2.3.9(b)) are unchanged.
-Cross-checked against brute-force ``Dep[Mod[Phi]]`` in the tests and in
-bench E5.
+residue contains the empty clause.  That is what is implemented (a bit of
+the table is exactly that truth value); the enumeration structure and
+complexity (Theorem 2.3.9(b)) are unchanged.  Cross-checked against
+brute-force ``Dep[Mod[Phi]]`` and the Ldiff enumeration itself in the
+tests and in bench E5.
 
 Deciding dependence is NP-complete (Theorem 2.3.9(c)); no subexponential
 shortcut exists, which is why ``genmask`` only ever takes *user-supplied*
@@ -31,69 +40,39 @@ update parameters in HLU (Section 4), never the large system state.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
-
 from repro.cache import core as cache
 from repro.obs import core as obs
-from repro.logic.clauses import ClauseSet, Literal, make_literal
-from repro.logic.resolution import unit_resolve
+from repro.logic.clauses import ClauseSet
+from repro.logic.truthtable import ClauseTable
 
-__all__ = ["cls_assignments", "ldiff", "depends_on", "clausal_genmask"]
+__all__ = ["depends_on", "clausal_genmask"]
 
 
-def cls_assignments(clause_set: ClauseSet) -> Iterator[frozenset[Literal]]:
-    """``CLS[Phi]`` (Definition 2.3.7(a)): consistent total literal sets
-    over ``Prop[Phi]``."""
+def _local_table(clause_set: ClauseSet) -> tuple[list[int], ClauseTable]:
+    """``Prop[Phi]`` in index order, and ``Phi``'s table over it."""
     indices = sorted(clause_set.prop_indices)
-    for signs in itertools.product((False, True), repeat=len(indices)):
-        yield frozenset(
-            make_literal(index, positive=sign) for index, sign in zip(indices, signs)
-        )
+    return indices, ClauseTable(clause_set.clauses, indices)
 
 
-def ldiff(clause_set: ClauseSet, index: int) -> Iterator[tuple[frozenset[Literal], frozenset[Literal]]]:
-    """``Ldiff[A, Phi]`` (Definition 2.3.7(b)): pairs from ``CLS[Phi]``
-    differing only in the polarity of the letter at ``index``."""
-    other_indices = sorted(clause_set.prop_indices - {index})
-    positive = make_literal(index, positive=True)
-    negative = -positive
-    for signs in itertools.product((False, True), repeat=len(other_indices)):
-        shared = frozenset(
-            make_literal(i, positive=sign) for i, sign in zip(other_indices, signs)
-        )
-        yield shared | {positive}, shared | {negative}
-
-
-def _falsified(clause_set: ClauseSet, assignment: frozenset[Literal]) -> bool:
-    """Is ``Phi`` false under the total assignment?  (unitres leaves an
-    empty clause exactly for falsified clauses.)
-
-    ``unitres`` is occurrence-indexed, so each of the ``2^|Prop[Phi]|``
-    probes strikes only the clauses actually containing a negated literal
-    instead of rescanning the whole set once per literal.
-    """
-    return unit_resolve(clause_set, assignment).has_empty_clause
+def _count_table(table: ClauseTable) -> None:
+    if table.evaluated:
+        obs.inc("blu.c.genmask.table_bits", table.evaluated << table.width)
 
 
 def depends_on(clause_set: ClauseSet, index: int) -> bool:
     """Does ``Phi`` semantically depend on the letter at ``index``?
 
-    The Ldiff enumeration of Algorithm 2.3.8 with early exit.
+    The Ldiff enumeration of Algorithm 2.3.8, on the truth table.
     """
     if index not in clause_set.prop_indices:
         return False
     obs.inc("blu.c.genmask.letters_tested")
-    pairs = 0
-    for with_a, without_a in ldiff(clause_set, index):
-        pairs += 1
-        if _falsified(clause_set, with_a) != _falsified(clause_set, without_a):
-            obs.inc("blu.c.genmask.pairs_tested", pairs)
-            obs.inc("blu.c.genmask.dependent_letters")
-            return True
-    if pairs:
-        obs.inc("blu.c.genmask.pairs_tested", pairs)
-    return False
+    indices, table = _local_table(clause_set)
+    dependent = table.depends(indices.index(index))
+    _count_table(table)
+    if dependent:
+        obs.inc("blu.c.genmask.dependent_letters")
+    return dependent
 
 
 def clausal_genmask(clause_set: ClauseSet) -> frozenset[int]:
@@ -106,7 +85,7 @@ def clausal_genmask(clause_set: ClauseSet) -> frozenset[int]:
 
     Memoised by the opt-in kernel cache on the state's fingerprint: the
     dependence set is determined by the clause contents alone, and the
-    NP-complete Ldiff enumeration is the most expensive thing a repeated
+    NP-complete enumeration is the most expensive thing a repeated
     update pipeline re-derives.
     """
     if cache._ENABLED:
@@ -114,9 +93,13 @@ def clausal_genmask(clause_set: ClauseSet) -> frozenset[int]:
         hit = cache.lookup("blu.c.genmask", key)
         if hit is not cache.MISS:
             return hit
-    result = frozenset(
-        index for index in clause_set.prop_indices if depends_on(clause_set, index)
-    )
+    indices, table = _local_table(clause_set)
+    result = frozenset(indices[p] for p in table.dependent())
+    if indices:
+        obs.inc("blu.c.genmask.letters_tested", len(indices))
+        _count_table(table)
+    if result:
+        obs.inc("blu.c.genmask.dependent_letters", len(result))
     if cache._ENABLED:
         cache.store("blu.c.genmask", key, result)
     return result

@@ -13,24 +13,21 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 
-from repro.errors import VocabularyMismatchError
+from repro.errors import VocabularyError, VocabularyMismatchError
+from repro.logic import truthtable
 from repro.logic.clauses import ClauseSet
-from repro.logic.cnf import formula_to_clauses, formulas_to_clauses
 from repro.logic.formula import Formula
 from repro.logic.parser import parse_formula
 from repro.logic.propositions import Vocabulary
 from repro.logic.semantics import (
-    dependency_indices,
-    dependency_names,
-    models_of_clauses,
-    sat_literals,
+    clause_set_table,
+    formulas_table,
+    table_dependency_indices,
+    table_sat_literals,
 )
 from repro.logic.structures import (
     World,
-    all_worlds,
-    satisfies,
-    saturate_on,
-    world_count,
+    enumerable_letters,
     world_from_dict,
     world_from_true_set,
     world_str,
@@ -47,33 +44,49 @@ class WorldSet:
     >>> ws = WorldSet.from_texts(vocab, ["A1 | A2"])
     >>> len(ws)
     3
+
+    The set is held as one truth table (:mod:`repro.logic.truthtable`):
+    a ``2^n``-bit integer whose bit ``w`` says whether world ``w`` is
+    possible, so the vocabulary has at most 24 letters.
     """
 
-    __slots__ = ("_vocabulary", "_worlds", "_hash")
+    __slots__ = ("_vocabulary", "_table", "_hash")
 
     def __init__(self, vocabulary: Vocabulary, worlds: Iterable[World]):
-        world_set = frozenset(worlds)
-        limit = world_count(vocabulary)
-        for world in world_set:
-            if not 0 <= world < limit:
-                raise ValueError(
-                    f"world {world} out of range for a {len(vocabulary)}-letter vocabulary"
-                )
+        table = truthtable.table_of_worlds(worlds, enumerable_letters(vocabulary))
         self._vocabulary = vocabulary
-        self._worlds = world_set
-        self._hash = hash((vocabulary, world_set))
+        self._table = table
+        self._hash = hash((vocabulary, table))
+
+    @classmethod
+    def _of_table(cls, vocabulary: Vocabulary, table: int) -> "WorldSet":
+        self = object.__new__(cls)
+        self._vocabulary = vocabulary
+        self._table = table
+        self._hash = hash((vocabulary, table))
+        return self
 
     # --- constructors (including the eta embeddings of 1.2.4) ---------------
 
     @classmethod
+    def from_table(cls, vocabulary: Vocabulary, table: int) -> "WorldSet":
+        """The worlds whose bits are set in ``table`` (bit ``w`` for world
+        ``w``); raises :class:`ValueError` on a bit beyond ``2^n``."""
+        if not 0 <= table <= truthtable.full(enumerable_letters(vocabulary)):
+            raise ValueError(
+                f"table {table} out of range for a {len(vocabulary)}-letter vocabulary"
+            )
+        return cls._of_table(vocabulary, table)
+
+    @classmethod
     def empty(cls, vocabulary: Vocabulary) -> "WorldSet":
         """The empty collection of possible worlds (inconsistent state)."""
-        return cls(vocabulary, ())
+        return cls.from_table(vocabulary, 0)
 
     @classmethod
     def total(cls, vocabulary: Vocabulary) -> "WorldSet":
         """All of ``DB[D]`` -- the state of complete ignorance."""
-        return cls(vocabulary, all_worlds(vocabulary))
+        return cls._of_table(vocabulary, truthtable.full(enumerable_letters(vocabulary)))
 
     @classmethod
     def singleton(cls, vocabulary: Vocabulary, world: World) -> "WorldSet":
@@ -93,8 +106,7 @@ class WorldSet:
     @classmethod
     def from_formulas(cls, vocabulary: Vocabulary, formulas: Iterable[Formula]) -> "WorldSet":
         """``Mod[Phi]`` as a world set."""
-        clause_set = formulas_to_clauses(formulas, vocabulary)
-        return cls(vocabulary, models_of_clauses(clause_set))
+        return cls._of_table(vocabulary, formulas_table(vocabulary, formulas))
 
     @classmethod
     def from_texts(cls, vocabulary: Vocabulary, texts: Iterable[str]) -> "WorldSet":
@@ -104,7 +116,7 @@ class WorldSet:
     @classmethod
     def from_clause_set(cls, clause_set: ClauseSet) -> "WorldSet":
         """``Mod[Phi]`` -- the canonical emulation map ``e_CI[S]``."""
-        return cls(clause_set.vocabulary, models_of_clauses(clause_set))
+        return cls._of_table(clause_set.vocabulary, clause_set_table(clause_set))
 
     # --- accessors -----------------------------------------------------------
 
@@ -115,42 +127,47 @@ class WorldSet:
 
     @property
     def worlds(self) -> frozenset[World]:
-        """The underlying frozenset of bit-packed worlds."""
-        return self._worlds
+        """The worlds as a frozenset of bit-packed ints."""
+        return frozenset(truthtable.worlds_of(self._table))
 
     def __len__(self) -> int:
-        return len(self._worlds)
+        return self._table.bit_count()
 
     def __iter__(self) -> Iterator[World]:
-        return iter(self._worlds)
+        """The worlds in ascending order."""
+        return iter(truthtable.worlds_of(self._table))
 
     def __contains__(self, world: object) -> bool:
-        return world in self._worlds
+        return (
+            isinstance(world, int)
+            and 0 <= world < 1 << len(self._vocabulary)
+            and bool(self._table >> world & 1)
+        )
 
     def __bool__(self) -> bool:
-        return bool(self._worlds)
+        return bool(self._table)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WorldSet):
             return NotImplemented
-        return self._vocabulary == other._vocabulary and self._worlds == other._worlds
+        return self._vocabulary == other._vocabulary and self._table == other._table
 
     def __hash__(self) -> int:
         return self._hash
 
     def __le__(self, other: "WorldSet") -> bool:
         self._check(other)
-        return self._worlds <= other._worlds
+        return self._table | other._table == other._table
 
     def __repr__(self) -> str:
-        return f"WorldSet({len(self._worlds)} worlds over {len(self._vocabulary)} letters)"
+        return f"WorldSet({len(self)} worlds over {len(self._vocabulary)} letters)"
 
     def describe(self, limit: int = 8) -> str:
         """Readable listing of (up to ``limit``) worlds."""
-        shown = sorted(self._worlds)[:limit]
-        lines = [world_str(self._vocabulary, w) for w in shown]
-        if len(self._worlds) > limit:
-            lines.append(f"... and {len(self._worlds) - limit} more")
+        worlds = truthtable.worlds_of(self._table)
+        lines = [world_str(self._vocabulary, w) for w in worlds[:limit]]
+        if len(worlds) > limit:
+            lines.append(f"... and {len(worlds) - limit} more")
         return "\n".join(lines) if lines else "(no possible worlds)"
 
     # --- Boolean algebra (combine / assert / complement of BLU--I) ----------
@@ -158,30 +175,37 @@ class WorldSet:
     def union(self, other: "WorldSet") -> "WorldSet":
         """``combine``: set union (Definition 2.2.2(b.i))."""
         self._check(other)
-        return WorldSet(self._vocabulary, self._worlds | other._worlds)
+        return WorldSet._of_table(self._vocabulary, self._table | other._table)
 
     def intersection(self, other: "WorldSet") -> "WorldSet":
         """``assert``: set intersection (Definition 2.2.2(b.ii))."""
         self._check(other)
-        return WorldSet(self._vocabulary, self._worlds & other._worlds)
+        return WorldSet._of_table(self._vocabulary, self._table & other._table)
 
     def complement(self) -> "WorldSet":
         """``complement``: relative to all of ``DB[D]`` (Definition 2.2.2(b.iii))."""
-        return WorldSet(
-            self._vocabulary,
-            frozenset(all_worlds(self._vocabulary)) - self._worlds,
-        )
+        whole = truthtable.full(len(self._vocabulary))
+        return WorldSet._of_table(self._vocabulary, whole ^ self._table)
 
     def difference(self, other: "WorldSet") -> "WorldSet":
         """``S \\ T`` (used by the ``where`` construct, Section 0)."""
         self._check(other)
-        return WorldSet(self._vocabulary, self._worlds - other._worlds)
+        return WorldSet._of_table(self._vocabulary, self._table & ~other._table)
 
     # --- masking and dependency (mask / genmask of BLU--I) -------------------
 
     def saturate(self, indices: Iterable[int]) -> "WorldSet":
         """Close under re-assignment of the given letters (simple-mask action)."""
-        return WorldSet(self._vocabulary, saturate_on(self._worlds, frozenset(indices)))
+        letters = len(self._vocabulary)
+        positions = frozenset(indices)
+        for index in positions:
+            if not 0 <= index < letters:
+                raise VocabularyError(
+                    f"letter index {index} is outside the vocabulary (size {letters})"
+                )
+        return WorldSet._of_table(
+            self._vocabulary, truthtable.saturate(self._table, positions, letters)
+        )
 
     def saturate_names(self, names: Iterable[str]) -> "WorldSet":
         """As :meth:`saturate`, addressing letters by name."""
@@ -189,31 +213,30 @@ class WorldSet:
 
     def dependency_indices(self) -> frozenset[int]:
         """``Dep[S]`` as vocabulary indices."""
-        return dependency_indices(self._vocabulary, self._worlds)
+        return table_dependency_indices(self._vocabulary, self._table)
 
     def dependency_names(self) -> frozenset[str]:
         """``Dep[S]`` as proposition names."""
-        return dependency_names(self._vocabulary, self._worlds)
+        return frozenset(self._vocabulary.name_of(i) for i in self.dependency_indices())
 
     # --- queries --------------------------------------------------------------
 
     def satisfies_everywhere(self, formula: Formula) -> bool:
         """Certain truth: does every possible world satisfy ``formula``?"""
-        return all(satisfies(self._vocabulary, w, formula) for w in self._worlds)
+        return self._table & formulas_table(self._vocabulary, (formula,)) == self._table
 
     def satisfies_somewhere(self, formula: Formula) -> bool:
         """Possible truth: does some possible world satisfy ``formula``?"""
-        return any(satisfies(self._vocabulary, w, formula) for w in self._worlds)
+        return bool(self._table & formulas_table(self._vocabulary, (formula,)))
 
     def certain_literals(self) -> frozenset[str]:
         """Literals true in every possible world (readable ``Sat`` fragment)."""
-        return sat_literals(self._vocabulary, self._worlds)
+        return table_sat_literals(self._vocabulary, self._table)
 
     def restricted_to(self, formula: Formula) -> "WorldSet":
         """Worlds satisfying ``formula`` (``S`` intersect ``Mod[{formula}]``)."""
-        return WorldSet(
-            self._vocabulary,
-            (w for w in self._worlds if satisfies(self._vocabulary, w, formula)),
+        return WorldSet._of_table(
+            self._vocabulary, self._table & formulas_table(self._vocabulary, (formula,))
         )
 
     def legal(self, schema) -> "WorldSet":
@@ -225,32 +248,25 @@ class WorldSet:
         """
         if schema.vocabulary != self._vocabulary:
             raise VocabularyMismatchError("schema vocabulary differs from world set")
-        return WorldSet(self._vocabulary, self._worlds & schema.legal_worlds())
+        legal = formulas_table(self._vocabulary, schema.constraints)
+        return WorldSet._of_table(self._vocabulary, self._table & legal)
 
     def assignments(self) -> Iterator[dict[str, bool]]:
         """Iterate the worlds as explicit truth assignments."""
-        for world in sorted(self._worlds):
+        for world in truthtable.worlds_of(self._table):
             yield world_to_dict(self._vocabulary, world)
 
     def to_clause_set(self) -> ClauseSet:
-        """A clause set whose models are exactly these worlds.
+        """A clause set whose models are exactly these worlds: their prime
+        implicates, read off the truth table
+        (:func:`repro.logic.truthtable.prime_implicates`).
 
-        Constructed by CNF-converting the DNF "one conjunct per world";
-        small vocabularies only.  (The canonical inverse of ``e_CI[S]`` is
-        not unique; this picks a subsumption-reduced representative.)
+        (The canonical inverse of ``e_CI[S]`` is not unique; the prime
+        implicates are the representative that CNF-converting the DNF "one
+        conjunct per world" and removing subsumed clauses also gives.)
         """
-        from repro.logic.formula import conj, disj, var
-
-        if not self._worlds:
-            return ClauseSet.contradiction(self._vocabulary)
-        world_formulas = []
-        for world in sorted(self._worlds):
-            literals = [
-                var(name) if world >> i & 1 else ~var(name)
-                for i, name in enumerate(self._vocabulary.names)
-            ]
-            world_formulas.append(conj(literals))
-        return formula_to_clauses(disj(world_formulas), self._vocabulary).reduce()
+        clauses = truthtable.prime_implicates(self._table, len(self._vocabulary))
+        return ClauseSet._trusted(self._vocabulary, clauses, reduced=True)
 
     def _check(self, other: "WorldSet") -> None:
         if self._vocabulary != other._vocabulary:

@@ -587,15 +587,17 @@ def backbone_literals(clause_set: ClauseSet) -> frozenset[Literal]:
 def count_models(clause_set: ClauseSet, over_indices: frozenset[int] | None = None) -> int:
     """Count models projected to ``over_indices`` (default: full vocabulary).
 
-    Exhaustive enumeration -- only for small vocabularies; used by tests
-    and by the expressiveness experiment E14.
+    On the model set's truth table -- only for vocabularies of at most 24
+    letters; used by tests and by the expressiveness experiment E14.  The
+    projection masks the other letters: each distinct restriction of a
+    model becomes a block of ``2^hidden`` worlds.
     """
-    from repro.logic.semantics import models_of_clauses
+    from repro.logic import truthtable
+    from repro.logic.semantics import clause_set_table
 
-    models = models_of_clauses(clause_set)
+    table = clause_set_table(clause_set)
     if over_indices is None:
-        return len(models)
-    mask = 0
-    for index in over_indices:
-        mask |= 1 << index
-    return len({world & mask for world in models})
+        return table.bit_count()
+    letters = len(clause_set.vocabulary)
+    hidden = [index for index in range(letters) if index not in over_indices]
+    return truthtable.saturate(table, hidden, letters).bit_count() >> len(hidden)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 
 from repro.errors import VocabularyError
+from repro.logic import truthtable
 from repro.logic.formula import Formula
 from repro.logic.propositions import Vocabulary
 
@@ -35,6 +36,7 @@ __all__ = [
     "satisfies",
     "world_str",
     "saturate_on",
+    "enumerable_letters",
 ]
 
 World = int
@@ -48,11 +50,13 @@ def world_count(vocabulary: Vocabulary) -> int:
     return 1 << len(vocabulary)
 
 
-def all_worlds(vocabulary: Vocabulary) -> Iterator[World]:
-    """Enumerate every structure over ``vocabulary`` (ascending bit order).
+def enumerable_letters(vocabulary: Vocabulary) -> int:
+    """The vocabulary's letter count, if its worlds may be enumerated.
 
     Guarded against accidental astronomically-large enumerations: the
-    instance-level semantics is only intended for small vocabularies.
+    instance-level semantics is only intended for small vocabularies, and
+    a world set over ``n`` letters is a ``2^n``-bit truth table
+    (:mod:`repro.logic.truthtable`), 2 MiB at the limit.
     """
     n = len(vocabulary)
     if n > _MAX_ENUMERABLE:
@@ -60,7 +64,13 @@ def all_worlds(vocabulary: Vocabulary) -> Iterator[World]:
             f"refusing to enumerate 2^{n} worlds; instance-level semantics is "
             f"limited to vocabularies of at most {_MAX_ENUMERABLE} letters"
         )
-    return iter(range(1 << n))
+    return n
+
+
+def all_worlds(vocabulary: Vocabulary) -> Iterator[World]:
+    """Enumerate every structure over ``vocabulary`` (ascending bit order);
+    at most ``2^24`` (:func:`enumerable_letters`)."""
+    return iter(range(1 << enumerable_letters(vocabulary)))
 
 
 def world_from_dict(vocabulary: Vocabulary, assignment: Mapping[str, bool]) -> World:
@@ -143,24 +153,14 @@ def saturate_on(worlds: Iterable[World], indices: frozenset[int] | set[int]) -> 
 
     This is the instance-level action of the simple mask ``mask[P]``
     (Definition 1.5.3): every world is replaced by all worlds that agree
-    with it outside ``P``.
+    with it outside ``P``.  Computed on the worlds' truth table over just
+    enough letters to hold them and ``P``, at most 24.
     """
-    index_list = sorted(indices)
-    if not index_list:
-        return frozenset(worlds)
-    # Clear the masked bits, collect the distinct "skeletons", then expand
-    # each skeleton with every combination of masked-bit values.
-    clear_mask = 0
-    for index in index_list:
-        clear_mask |= 1 << index
-    skeletons = {world & ~clear_mask for world in worlds}
-    result: set[World] = set()
-    combos = 1 << len(index_list)
-    for skeleton in skeletons:
-        for combo in range(combos):
-            filled = skeleton
-            for bit_position, index in enumerate(index_list):
-                if combo >> bit_position & 1:
-                    filled |= 1 << index
-            result.add(filled)
-    return frozenset(result)
+    world_list = list(worlds)
+    letters = max(max(world_list, default=0).bit_length(), max(indices, default=-1) + 1)
+    if letters > _MAX_ENUMERABLE:
+        raise VocabularyError(
+            f"refusing to saturate over {letters} letters; at most {_MAX_ENUMERABLE}"
+        )
+    table = truthtable.table_of_worlds(world_list, letters)
+    return frozenset(truthtable.worlds_of(truthtable.saturate(table, indices, letters)))

@@ -68,9 +68,12 @@ PROTOCOL_VERSION = 1
 MAX_LINE_BYTES = 1_000_000
 
 #: Largest vocabulary an ``open`` may give an ``instance`` session.  That
-#: backend enumerates up to ``2**letters`` worlds on the event loop every
-#: client shares: open plus one insert costs ~0.2-0.3 s at 16 letters and
-#: ~6 s (310 MiB) at 20.
+#: backend holds a ``2**letters``-bit truth table and works on it on the
+#: event loop every client shares.  Open plus ``(insert {A1 | A2})`` plus
+#: the response costs ~0.4 ms at 16 letters and ~0.08 s at 24 (the
+#: enumeration limit), but a response lists the state's prime implicates,
+#: 2**(letters-1) of them after a parity insert: 0.25 s and ~100 MiB at
+#: 16 letters, 2.3 s and ~460 MiB at 18, growing 4x per letter.
 MAX_INSTANCE_LETTERS = 16
 
 #: Largest vocabulary an ``open`` may give a ``clausal`` session.  The

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.blu.clausal_genmask import (
-    clausal_genmask,
-    cls_assignments,
-    depends_on,
-    ldiff,
-)
+from repro.blu.clausal_genmask import clausal_genmask, depends_on
 from repro.blu.clausal_impl import (
     ClausalImplementation,
     clausal_combine,
@@ -22,6 +17,10 @@ from repro.logic.semantics import (
     models_of_clauses,
 )
 from repro.logic.structures import saturate_on
+from tests.logic.test_truthtable_differential import (
+    _reference_cls_assignments as cls_assignments,
+    _reference_ldiff as ldiff,
+)
 
 VOCAB = Vocabulary.standard(5)
 IMPL = ClausalImplementation(VOCAB)

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -192,6 +193,32 @@ class TestDispatch:
             assert stats["sessions"] == 1
             assert stats["connections"] == 1
             assert stats["draining"] is False
+            await client.close()
+
+        run_service(scenario)
+
+
+class TestInstanceSessions:
+    def test_update_at_the_instance_limit_answers_promptly(self):
+        """An instance session's clauses are the prime implicates of its
+        world set, read off the truth table: at the admission limit an
+        update's response (its clause count) and the state listing come
+        back in milliseconds, not by CNF-converting one term per world."""
+
+        async def scenario(path, service):
+            client = await Client.connect(path)
+            letters = protocol.MAX_INSTANCE_LETTERS
+            opened = await client.call(
+                "open", session="s", letters=letters, backend="instance"
+            )
+            assert opened["ok"] and len(opened["letters"]) == letters == 16
+            started = time.perf_counter()
+            updated = await client.call("update", session="s", program="(insert {A1 | A2})")
+            elapsed = time.perf_counter() - started
+            assert updated["ok"] and updated["clause_count"] == 1
+            assert elapsed < 2.0
+            state = await client.call("state", session="s")
+            assert state["ok"] and state["clauses"] == ["A1 | A2"]
             await client.close()
 
         run_service(scenario)
