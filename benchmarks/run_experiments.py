@@ -177,7 +177,7 @@ def _worker_run(
 ) -> dict:
     """One experiment inside a ``--jobs`` worker process.
 
-    The worker owns its own obs context and kernel cache; everything the
+    The worker owns its own obs registry and kernel cache; everything the
     parent needs to merge comes back in one picklable payload.  Seconds
     are measured here, in the worker, so the number means "time this
     experiment took" rather than "time the parent waited".

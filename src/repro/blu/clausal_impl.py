@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.obs import core as obs
-from repro.obs import runtime
 from repro.blu.clausal_genmask import clausal_genmask
 from repro.blu.clausal_mask import clausal_mask
 from repro.blu.implementation import Implementation
@@ -47,9 +46,7 @@ def clausal_combine(left: ClauseSet, right: ClauseSet, simplify: bool = True) ->
     The CNF of ``conj(left) | conj(right)``; tautologous products are
     dropped (they denote 1 inside a conjunction).
     """
-    with runtime.timed("blu.c.combine"), obs.span(
-        "blu.c.combine", left=len(left), right=len(right)
-    ):
+    with obs.op("blu.c.combine", left=len(left), right=len(right)):
         product: set[Clause] = set()
         dropped = 0
         for clause_left in left.clauses:
@@ -83,9 +80,7 @@ def clausal_complement(clause_set: ClauseSet, simplify: bool = True) -> ClauseSe
     the clause lengths -- maximised, for fixed total Length, at clause
     length ``e``, giving the ``eps = e^(1/e)`` base of Theorem 2.3.4(b.iii).
     """
-    with runtime.timed("blu.c.complement"), obs.span(
-        "blu.c.complement", clauses_in=len(clause_set)
-    ):
+    with obs.op("blu.c.complement", clauses_in=len(clause_set)):
         accumulator: set[Clause] = {frozenset()}
         widenings = 0
         for gamma in clause_set.clauses:
@@ -163,9 +158,7 @@ class ClausalImplementation(Implementation):
         reduced union (:meth:`ClauseSet.merge`)."""
         self._check_state(state)
         self._check_state(other)
-        with runtime.timed("blu.c.assert"), obs.span(
-            "blu.c.assert", left=len(state), right=len(other)
-        ):
+        with obs.op("blu.c.assert", left=len(state), right=len(other)):
             result = state.merge(other) if self._simplify else state.union(other)
             obs.inc("blu.c.assert.calls")
             obs.inc("blu.c.assert.clauses_out", len(result))
@@ -187,9 +180,7 @@ class ClausalImplementation(Implementation):
             raise VocabularyMismatchError(
                 "clause-level masks are frozensets of vocabulary indices"
             )
-        with runtime.timed("blu.c.mask"), obs.span(
-            "blu.c.mask", letters=len(mask), clauses_in=len(state)
-        ):
+        with obs.op("blu.c.mask", letters=len(mask), clauses_in=len(state)):
             result = clausal_mask(state, mask, simplify=self._simplify)
             obs.inc("blu.c.mask.calls")
             obs.observe("blu.c.state_clauses", len(result))

@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.obs import core as obs
-from repro.obs import runtime
 from repro.blu.implementation import Implementation
 from repro.db.instances import WorldSet
 from repro.db.masks import Mask, SimpleMask
@@ -74,9 +73,7 @@ class InstanceImplementation(Implementation):
         """Intersection: keep the worlds common to both."""
         self._check_state(state)
         self._check_state(other)
-        with runtime.timed("blu.i.assert"), obs.span(
-            "blu.i.assert", left=len(state), right=len(other)
-        ):
+        with obs.op("blu.i.assert", left=len(state), right=len(other)):
             result = state.intersection(other)
             obs.inc("blu.i.assert.calls")
             obs.observe("blu.i.state_worlds", len(result))
@@ -106,9 +103,7 @@ class InstanceImplementation(Implementation):
         self._check_state(state)
         if not self.is_mask(mask):
             raise VocabularyMismatchError("mask is not over this vocabulary")
-        with runtime.timed("blu.i.mask"), obs.span(
-            "blu.i.mask", worlds_in=len(state)
-        ):
+        with obs.op("blu.i.mask", worlds_in=len(state)):
             result = mask.saturate(state)
             obs.inc("blu.i.mask.calls")
             obs.inc("blu.i.mask.worlds_added", len(result) - len(state))

@@ -24,8 +24,8 @@ Design, mirroring ``repro.obs.core``:
   traces and BENCH run records can report cache effectiveness next to
   kernel work.
 
-Unlike the context-local obs state, the cache is deliberately
-process-wide: memoised results are immutable values, so sharing them
+Like the obs registry, the cache is deliberately process-wide:
+memoised results are immutable values, so sharing them
 across contexts is safe and is the whole point.  The store is not
 guarded by a lock -- the REPL, the bench runner, and each ``--jobs``
 worker process are single-threaded, and CPython dict operations keep
@@ -39,7 +39,6 @@ from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 
 from repro.obs import core as obs
-from repro.obs import runtime
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -102,12 +101,10 @@ class KernelCache:
         if value is MISS:
             self.misses += 1
             obs.inc(f"cache.{self.name}.misses")
-            runtime.count("cache.misses")
             return MISS
         self._entries.move_to_end(key)
         self.hits += 1
         obs.inc(f"cache.{self.name}.hits")
-        runtime.count("cache.hits")
         return value
 
     def store(self, key, value) -> None:
@@ -135,12 +132,11 @@ class KernelCache:
 
     def _evict_down_to(self, size: int) -> None:
         """Evict LRU entries until at most ``size`` remain, tallying each
-        eviction locally, in ``repro.obs`` and in telemetry."""
+        eviction locally and in ``repro.obs``."""
         while len(self._entries) > size:
             self._entries.popitem(last=False)
             self.evictions += 1
             obs.inc(f"cache.{self.name}.evictions")
-            runtime.count("cache.evictions")
 
     def clear(self) -> None:
         """Drop every entry and zero the tallies."""

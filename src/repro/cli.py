@@ -374,7 +374,7 @@ class Shell:
         if newly_enabled:
             runtime.enable()
         frame = live.render_watch(
-            runtime.registry().snapshot(), title="live telemetry"
+            runtime.registry().live_record(), title="live telemetry"
         )
         if newly_enabled:
             frame += "\n(telemetry was off -- now recording; run some updates)"
@@ -387,7 +387,7 @@ class Shell:
         try:
             while True:
                 frame = live.render_watch(
-                    runtime.registry().snapshot(), title="live telemetry"
+                    runtime.registry().live_record(), title="live telemetry"
                 )
                 lines = frame.split("\n")
                 if display_height:
@@ -790,9 +790,9 @@ def telemetry_main(argv: list[str]) -> int:
     Schema-checks the feed (exit 2 on drift or unreadable input), prints
     its provenance (schema, window, workers, snapshot counts) and the
     final per-op summary -- windowed ops/s and p50/p99 from the last
-    snapshot of each worker, merged exactly.  ``--prometheus`` instead
-    renders that final merged state in Prometheus text exposition
-    format, for eyeballing what a ``/metrics`` endpoint would serve.
+    snapshot of each worker, merged exactly, then its counters and
+    gauges.  ``--prometheus`` instead renders that final merged state in
+    Prometheus text exposition format.
     """
     from repro.obs import live
     from repro.obs import runtime

@@ -26,7 +26,7 @@ from collections.abc import Iterable
 
 from repro.db.morphisms import Morphism
 from repro.errors import InconsistentLiteralsError, VocabularyError
-from repro.obs import runtime
+from repro.obs import core as obs
 from repro.obs.logging import get_logger
 from repro.logic.clauses import (
     Clause,
@@ -79,7 +79,7 @@ def clause_delta(
 def insert_atom(vocabulary: Vocabulary, name: str) -> Morphism:
     """``insert[Ai]`` (Definition 1.3.3(a)): ``Ai <- 1``."""
     vocabulary.index_of(name)  # validate
-    runtime.count("db.updates.insert_atom")
+    obs.inc("db.updates.insert_atom")
     _log_built("insert_atom", atom=name)
     return Morphism(vocabulary, vocabulary, {name: TRUE})
 
@@ -87,7 +87,7 @@ def insert_atom(vocabulary: Vocabulary, name: str) -> Morphism:
 def delete_atom(vocabulary: Vocabulary, name: str) -> Morphism:
     """``delete[Ai]`` (Definition 1.3.3(b)): ``Ai <- 0``."""
     vocabulary.index_of(name)
-    runtime.count("db.updates.delete_atom")
+    obs.inc("db.updates.delete_atom")
     _log_built("delete_atom", atom=name)
     return Morphism(vocabulary, vocabulary, {name: FALSE})
 
@@ -100,7 +100,7 @@ def modify_atom(vocabulary: Vocabulary, old: str, new: str) -> Morphism:
     """
     vocabulary.index_of(old)
     vocabulary.index_of(new)
-    runtime.count("db.updates.modify_atom")
+    obs.inc("db.updates.modify_atom")
     _log_built("modify_atom", old=old, new=new)
     if old == new:
         return Morphism.identity(vocabulary)
@@ -131,7 +131,7 @@ def insert_literals(vocabulary: Vocabulary, literals: Iterable[Literal]) -> Morp
     """
     literal_tuple = tuple(literals)
     _require_consistent(literal_tuple, "insert literal set")
-    runtime.count("db.updates.insert_literals")
+    obs.inc("db.updates.insert_literals")
     _log_built("insert_literals", literals=sorted(literal_tuple, key=abs))
     assignment: dict[str, Formula] = {}
     for literal in literal_tuple:
@@ -159,7 +159,7 @@ def modify_literals(
     new_tuple = tuple(new_literals)
     _require_consistent(old_tuple, "modify precondition literal set")
     _require_consistent(new_tuple, "modify postcondition literal set")
-    runtime.count("db.updates.modify_literals")
+    obs.inc("db.updates.modify_literals")
     _log_built(
         "modify_literals",
         old=sorted(old_tuple, key=abs),

@@ -23,7 +23,6 @@ from collections.abc import Iterable
 from typing import Any
 
 from repro.obs import core as obs
-from repro.obs import runtime
 from repro.obs.logging import get_logger
 from repro.blu.clausal_impl import ClausalImplementation
 from repro.blu.implementation import Implementation
@@ -159,7 +158,7 @@ class IncompleteDatabase:
         entry = None
         if audit_mod._ENABLED and self._audit is not None:
             entry = self._audit.begin("apply", str(update), self._fingerprint())
-        with runtime.timed("hlu.update"), obs.span(
+        with obs.op(
             "hlu.apply",
             update=type(update).__name__.lower(),
             backend=self._backend_name,
@@ -336,9 +335,7 @@ class IncompleteDatabase:
             entry = self._audit.begin(
                 "query_certain", str(formula), self._fingerprint()
             )
-        with runtime.timed("hlu.query"), obs.span(
-            "hlu.is_certain", backend=self._backend_name
-        ) as current:
+        with obs.op("hlu.is_certain", backend=self._backend_name) as current:
             obs.inc("hlu.queries")
             if entry is not None:
                 entry.span_sid = getattr(current, "sid", 0)
@@ -369,9 +366,7 @@ class IncompleteDatabase:
             entry = self._audit.begin(
                 "query_possible", str(formula), self._fingerprint()
             )
-        with runtime.timed("hlu.query"), obs.span(
-            "hlu.is_possible", backend=self._backend_name
-        ) as current:
+        with obs.op("hlu.is_possible", backend=self._backend_name) as current:
             obs.inc("hlu.queries")
             if entry is not None:
                 entry.span_sid = getattr(current, "sid", 0)
@@ -487,12 +482,13 @@ class IncompleteDatabase:
         return state.merge(self._schema.constraint_clauses())
 
     def _after_transition(self, old_state: Any, new_state: Any) -> None:
-        """Post-transition hook: record the clausal delta size.
+        """Post-transition hook: record the clausal delta size while
+        tracing (live telemetry alone does not pay for the clause diff).
 
         Only clausal states over one vocabulary have a clause delta
         (``WorldSet`` transitions are not measured this way).
         """
-        if (obs._ENABLED and isinstance(old_state, ClauseSet)
+        if (obs._MODE & obs.TRACE and isinstance(old_state, ClauseSet)
                 and isinstance(new_state, ClauseSet)
                 and old_state.vocabulary == new_state.vocabulary):
             from repro.db.updates import clause_delta

@@ -32,7 +32,6 @@ from repro.cache import core as cache
 from repro.errors import ClosureBudgetError, VocabularyError
 from repro.obs import core as obs
 from repro.obs import provenance
-from repro.obs import runtime
 from repro.logic.clauses import (
     Clause,
     ClauseSet,
@@ -188,13 +187,12 @@ def rclosure(clause_set: ClauseSet, indices: Iterable[int]) -> ClauseSet:
         hit = cache.lookup("logic.rclosure", key)
         if hit is not cache.MISS:
             return hit
-    with runtime.timed("logic.rclosure"), obs.span(
+    with obs.op(
         "logic.rclosure", pivots=len(pivot_indices), clauses_in=len(clause_set)
     ) as current:
         occ, formed, hits, skips = _saturate(clause_set.clauses, pivot_indices)
         if formed:
             obs.inc("logic.resolution.resolvents_formed", formed)
-            runtime.count("logic.resolvents_formed", formed)
         if hits:
             obs.inc("logic.resolution.index_hits", hits)
         if skips:
@@ -258,7 +256,6 @@ def eliminate_letter(clause_set: ClauseSet, index: int) -> ClauseSet:
     formed = len(resolvents.difference(kept.clauses))
     if formed:
         obs.inc("logic.resolution.resolvents_formed", formed)
-        runtime.count("logic.resolvents_formed", formed)
     return kept.merge(ClauseSet._trusted(vocabulary, frozenset(resolvents)))
 
 
@@ -341,7 +338,6 @@ def resolution_closure(clause_set: ClauseSet, max_clauses: int = 100_000) -> Cla
     )
     if formed:
         obs.inc("logic.resolution.resolvents_formed", formed)
-        runtime.count("logic.resolvents_formed", formed)
     if hits:
         obs.inc("logic.resolution.index_hits", hits)
     if skips:

@@ -28,7 +28,6 @@ from collections import deque
 from repro.cache import core as cache
 from repro.obs import core as obs
 from repro.obs import provenance
-from repro.obs import runtime
 from repro.logic.clauses import Clause, ClauseSet, Literal, clause_sort_key
 
 __all__ = [
@@ -434,7 +433,7 @@ def solve(clause_set: ClauseSet, assumptions: tuple[Literal, ...] = ()) -> dict[
                 rec.record(frozenset(), "resolve", (pos, neg), pivot=index)
             return None
         assignment[index] = value
-    with runtime.timed("logic.sat.solve"), obs.span(
+    with obs.op(
         "logic.sat.solve", clauses=len(clause_set), assumptions=len(assumptions)
     ):
         obs.inc("logic.sat.solve_calls")

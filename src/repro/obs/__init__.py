@@ -1,10 +1,14 @@
-"""``repro.obs``: zero-dependency tracing spans and kernel counters.
+"""``repro.obs``: zero-dependency tracing spans and one metrics registry.
 
 The observability layer for the whole stack.  Kernels call the
-module-level helpers (:func:`span`, :func:`inc`, :func:`observe`), which
-are near-no-ops until :func:`enable` is called; exporters render the
-recorded telemetry as a span tree, JSON-lines, or a counter table.  See
-DESIGN.md section "Observability".
+module-level hooks -- :func:`op` at an operation's entry point,
+:func:`span` inside it, :func:`inc` and :func:`observe` for work
+counts -- which are near-no-ops until :func:`enable` (tracing) or
+:func:`enable_live` (live telemetry, :mod:`repro.obs.runtime`) sets a
+bit of the one mode.  Counters and histograms land in one process-wide
+:class:`Registry`: exporters render it with the context-local span tree
+as JSON-lines or a counter table, and :mod:`repro.obs.runtime` streams
+it as the telemetry feed.  See DESIGN.md section "Observability".
 
 Typical use::
 
@@ -18,20 +22,26 @@ Typical use::
 """
 
 from repro.obs.core import (
-    Counters,
     Histogram,
     MemorySample,
+    Registry,
     Span,
     Tracer,
     counters,
     current_span,
     disable,
+    disable_live,
     enable,
+    enable_live,
     enabled,
     inc,
     is_enabled,
+    is_live,
     observe,
+    op,
+    registry,
     reset,
+    set_gauge,
     span,
     suspended,
     tracer,
@@ -62,18 +72,24 @@ __all__ = [
     "Span",
     "Tracer",
     "Histogram",
-    "Counters",
+    "Registry",
     "MemorySample",
     "enable",
     "disable",
     "is_enabled",
+    "enable_live",
+    "disable_live",
+    "is_live",
     "enabled",
     "suspended",
     "tracer",
+    "registry",
     "counters",
     "span",
+    "op",
     "inc",
     "observe",
+    "set_gauge",
     "reset",
     "track_memory",
     "render_span_tree",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping, Sequence
 
-from repro.obs.core import Counters, Histogram, Span, Tracer
+from repro.obs.core import Registry, Span, Tracer, histogram_from_json
 
 __all__ = [
     "render_span_tree",
@@ -74,7 +74,7 @@ _HISTOGRAM_KEYS = {"type", "name", "count", "total", "min", "max", "buckets"}
 
 
 def export_jsonl(
-    spans: Iterable[Span] | Tracer, counters: Counters | None = None
+    spans: Iterable[Span] | Tracer, counters: Registry | None = None
 ) -> str:
     """Spans (and optionally counters) as JSON-lines text."""
     roots = spans.roots if isinstance(spans, Tracer) else list(spans)
@@ -106,10 +106,10 @@ def export_jsonl(
     for root in roots:
         emit(root, None)
     if counters is not None:
-        for name in sorted(counters.counts):
+        for name, value in sorted(counters.counts.items()):
             lines.append(
                 json.dumps(
-                    {"type": "counter", "name": name, "value": counters.get(name)},
+                    {"type": "counter", "name": name, "value": value},
                     sort_keys=True,
                 )
             )
@@ -158,9 +158,9 @@ def spans_from_jsonl(text: str) -> list[Span]:
     return roots
 
 
-def counters_from_jsonl(text: str) -> Counters:
+def counters_from_jsonl(text: str) -> Registry:
     """Rebuild a counter registry from :func:`export_jsonl` output."""
-    counters = Counters()
+    counters = Registry()
     for line in text.splitlines():
         if not line.strip():
             continue
@@ -168,20 +168,7 @@ def counters_from_jsonl(text: str) -> Counters:
         if record.get("type") == "counter":
             counters.inc(record["name"], record["value"])
         elif record.get("type") == "histogram":
-            minimum = record["min"]
-            maximum = record["max"]
-            histogram = Histogram(
-                count=record["count"],
-                total=record["total"],
-                minimum=float("inf") if minimum is None else minimum,
-                maximum=float("-inf") if maximum is None else maximum,
-                # Older exports carry no buckets; quantiles then degrade
-                # to the min/max clamp instead of failing to load.
-                buckets={
-                    int(exp): n for exp, n in record.get("buckets", {}).items()
-                },
-            )
-            counters._histograms[record["name"]] = histogram
+            counters.merge_histogram(record["name"], histogram_from_json(record))
     return counters
 
 
@@ -193,11 +180,11 @@ def merge_jsonl(texts: Sequence[str]) -> str:
     Span forests are concatenated in the order given (ids are freshly
     assigned, so colliding per-worker ids cannot corrupt the tree);
     counters are summed and histograms merged via
-    :meth:`~repro.obs.core.Counters.merge`.  The result validates under
+    :meth:`~repro.obs.core.Registry.merge`.  The result validates under
     :func:`validate_jsonl` whenever the inputs did.
     """
     roots: list[Span] = []
-    merged = Counters()
+    merged = Registry()
     saw_counters = False
     for text in texts:
         roots.extend(spans_from_jsonl(text))
@@ -318,21 +305,21 @@ def validate_jsonl(text: str) -> list[str]:
 
 
 def counter_report(
-    counters: Counters | Mapping[str, int],
+    counters: Registry | Mapping[str, int],
     ident: str = "OBS",
     title: str = "kernel counters",
     claim: str = "work done by the instrumented BLU/HLU kernels",
 ):
     """Counter values as a :class:`~repro.bench.harness.Report` table.
 
-    Accepts either a :class:`Counters` registry (histograms included as
+    Accepts either a :class:`~repro.obs.core.Registry` (histograms included as
     ``n/mean/min/max`` summary rows) or a plain name-to-value mapping
-    (e.g. a :meth:`Counters.delta`).
+    (e.g. a :meth:`~repro.obs.core.Registry.delta`).
     """
     from repro.bench.harness import Report  # local import: harness imports obs.core
 
     report = Report(ident=ident, title=title, claim=claim, columns=("counter", "value"))
-    if isinstance(counters, Counters):
+    if isinstance(counters, Registry):
         counts: Mapping[str, int] = counters.counts
         histograms = counters.histograms
     else:

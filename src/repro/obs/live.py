@@ -15,8 +15,8 @@ interesting parts are testable without a TTY:
 * :class:`FeedTailer` -- incremental reader for a worker's feed file,
   tolerant of partially written last lines.
 
-Every number rendered here comes out of a snapshot dict produced by
-:meth:`repro.obs.runtime.MetricsRegistry.snapshot` (or
+Every number rendered here comes out of a live record produced by
+:meth:`repro.obs.core.Registry.live_record` (or
 :func:`repro.obs.runtime.merge_snapshots`), so the dashboard, the JSONL
 feed, and the Prometheus exposition can never disagree.
 """
@@ -29,6 +29,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import IO, Any
 
+from repro.obs.core import Histogram, histogram_from_json
 from repro.obs.runtime import merge_snapshots
 
 __all__ = [
@@ -52,7 +53,7 @@ __all__ = [
 
 
 def ops_per_second(snapshot: Mapping[str, Any] | None) -> float:
-    """Total windowed ops/s: the sum over every rate meter."""
+    """Total windowed ops/s: the sum over every op meter."""
     if not snapshot:
         return 0.0
     return sum(
@@ -71,26 +72,28 @@ def latency_quantiles(
     """
     if not snapshot:
         return None, None
-    from repro.obs.core import Histogram
-    from repro.obs.runtime import _histogram_from_snapshot
-
     merged = Histogram()
     for name, hist in snapshot.get("histograms", {}).items():
         if not name.endswith(".seconds"):
             continue
-        merged.merge(_histogram_from_snapshot(hist.get("window", {})))
+        merged.merge(histogram_from_json(hist.get("window", {})))
     if merged.count == 0:
         return None, None
     return merged.p50, merged.p99
 
 
 def cache_hit_rate(snapshot: Mapping[str, Any] | None) -> float | None:
-    """Kernel-cache hit fraction, or ``None`` before any lookup."""
+    """Kernel-cache hit fraction over every ``cache.<kernel>.hits`` /
+    ``.misses`` counter, or ``None`` before any lookup."""
     if not snapshot:
         return None
-    counters = snapshot.get("counters", {})
-    hits = int(counters.get("cache.hits", 0))
-    misses = int(counters.get("cache.misses", 0))
+    hits = misses = 0
+    for name, value in snapshot.get("counters", {}).items():
+        if name.startswith("cache."):
+            if name.endswith(".hits"):
+                hits += int(value)
+            elif name.endswith(".misses"):
+                misses += int(value)
     lookups = hits + misses
     if lookups == 0:
         return None
@@ -204,7 +207,7 @@ def render_dashboard(model: DashboardModel, width: int = 78) -> str:
 def render_watch(snapshot: Mapping[str, Any] | None, title: str = "telemetry") -> str:
     """The REPL ``:watch`` view: one registry, one compact table.
 
-    Rate meters pair with their ``<name>.seconds`` windowed histograms;
+    Op meters pair with their ``<name>.seconds`` windowed histograms;
     counters and gauges follow.
     """
     if not snapshot or (

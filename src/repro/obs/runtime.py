@@ -1,36 +1,24 @@
-"""Live runtime telemetry: a process-wide registry of windowed metrics.
+"""Live runtime telemetry: the feed, Prometheus and sampler over the registry.
 
-The tracing layer (:mod:`repro.obs.core`) is *post-hoc*: spans, counters,
-and histograms accumulate for the whole run and are flushed once at the
-end.  Long-lived workloads -- the incremental-update streams and
-concurrent-session services the ROADMAP targets -- need the complement:
-*current* throughput and *current* tail latency, observable while the
-process is still working.  This module provides that substrate:
+The tracing side of :mod:`repro.obs.core` is *post-hoc*: spans
+accumulate for the whole run and are flushed once at the end.
+Long-lived workloads -- the update service and ``run_experiments.py
+--live`` -- need the complement: *current* throughput and *current*
+tail latency, observable while the process is still working.  Both
+read the one process-wide :class:`~repro.obs.core.Registry`; this
+module turns on its ``LIVE`` mode bit and exports it:
 
-* :class:`MetricsRegistry` -- named gauges, monotonic counters,
-  :class:`RateMeter` throughput meters, and :class:`WindowedHistogram`
-  sliding-window quantile summaries (a ring of the cumulative
-  log-bucketed :class:`~repro.obs.core.Histogram`, rotated on a
-  configurable window and merged via ``Histogram.merge``);
-* module-level hook helpers (:func:`count`, :func:`observe`,
-  :func:`set_gauge`, :func:`timed`) that the hot layers call; like
-  ``obs.core`` they sit behind one process-wide enable flag, so the
-  disabled path costs a single global load per call site and the seed
-  ``obs`` counters are bit-identical while telemetry is off;
+* :func:`enable` / :func:`disable` set that bit, so every kernel
+  :func:`~repro.obs.core.op` records its latency as a windowed
+  ``<op>.seconds`` histogram (one op meter in the live record) and
+  every counter and histogram hook records even while tracing is off;
 * :class:`ResourceSampler` / :class:`TelemetryPump` -- a background
   thread sampling RSS / GC / tracemalloc gauges and streaming periodic
-  snapshots;
-* three exports of the same registry state: a schema-versioned JSONL
+  live records;
+* two exports of the same live record: a schema-versioned JSONL
   telemetry feed (:class:`TelemetryWriter`, :func:`validate_feed`,
-  :func:`read_feed`, :func:`merge_feeds`), a Prometheus text exposition
-  (:func:`render_prometheus` -- a future server can mount the output at
-  ``/metrics`` verbatim), and structured log records (see
-  :mod:`repro.obs.logging`).
-
-Unlike the context-local tracer, the registry is deliberately
-process-wide and lock-guarded: the sampler thread, the live-dashboard
-pump, and the instrumented workload all feed the same store, and a
-snapshot must be consistent across them.
+  :func:`read_feed`, :func:`merge_feeds`) and a Prometheus text
+  exposition (:func:`render_prometheus`, :func:`prometheus_from_snapshot`).
 """
 
 from __future__ import annotations
@@ -38,21 +26,26 @@ from __future__ import annotations
 import json
 import math
 import threading
-import time
-from collections import deque
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import IO, Any
 
-from repro.obs.core import Histogram
+from repro.obs import core
+from repro.obs.core import (
+    WINDOW_SECONDS,
+    WINDOW_SLOTS,
+    Histogram,
+    Registry,
+    histogram_from_json,
+    registry,
+    set_registry,
+    snapshot_histogram,
+)
 
 __all__ = [
-    "DEFAULT_WINDOW_SECONDS",
-    "DEFAULT_SLOTS",
+    "WINDOW_SECONDS",
+    "WINDOW_SLOTS",
     "FEED_SCHEMA_VERSION",
     "SUPPORTED_FEED_SCHEMAS",
-    "RateMeter",
-    "WindowedHistogram",
-    "MetricsRegistry",
     "ResourceSampler",
     "TelemetryWriter",
     "TelemetryPump",
@@ -62,11 +55,6 @@ __all__ = [
     "registry",
     "set_registry",
     "reset",
-    "count",
-    "observe",
-    "set_gauge",
-    "timed",
-    "record_op",
     "snapshot_histogram",
     "merge_snapshots",
     "prometheus_from_snapshot",
@@ -76,291 +64,31 @@ __all__ = [
     "merge_feeds",
 ]
 
-#: Default sliding-window span for rate meters and windowed histograms.
-DEFAULT_WINDOW_SECONDS = 10.0
-
-#: Ring slots per window: rotation granularity is ``window / slots``.
-DEFAULT_SLOTS = 5
-
 #: Telemetry feed schema (independent of the BENCH record schema).
 FEED_SCHEMA_VERSION = 1
 SUPPORTED_FEED_SCHEMAS = (1,)
 
-# The process-wide switch, mirroring repro.obs.core / repro.cache.core:
-# a plain module global so the disabled check at hook call sites is a
-# single global load.
-_ENABLED = False
+#: The telemetry switch is the ``LIVE`` bit of :mod:`repro.obs.core`'s
+#: one mode; tracing's ``TRACE`` bit is untouched by these.
+enable = core.enable_live
+disable = core.disable_live
+is_enabled = core.is_live
 
 
-# ---------------------------------------------------------------------------
-# Windowed primitives
-# ---------------------------------------------------------------------------
-
-
-class RateMeter:
-    """A monotonic event counter with a sliding-window rate.
-
-    ``total`` only ever grows; :meth:`rate` answers "events per second
-    over (at most) the trailing window" from a ring of per-slot tallies.
-    Rotation is lazy -- driven by the ``now`` passed to :meth:`tick` /
-    :meth:`rate` -- so an idle meter costs nothing.
-    """
-
-    __slots__ = ("total", "_slot_seconds", "_slots", "_closed", "_current", "_slot_start")
-
-    def __init__(
-        self,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        slots: int = DEFAULT_SLOTS,
-        now: float = 0.0,
-    ):
-        if window_seconds <= 0 or slots < 1:
-            raise ValueError("window_seconds must be > 0 and slots >= 1")
-        self.total = 0
-        self._slots = slots
-        self._slot_seconds = window_seconds / slots
-        self._closed: deque[int] = deque(maxlen=slots)
-        self._current = 0
-        self._slot_start = now
-
-    def _rotate(self, now: float) -> None:
-        gap = now - self._slot_start
-        if gap < self._slot_seconds:
-            return
-        steps = int(gap // self._slot_seconds)
-        self._closed.append(self._current)
-        self._current = 0
-        for _ in range(min(steps - 1, self._slots)):
-            self._closed.append(0)
-        self._slot_start += steps * self._slot_seconds
-
-    def tick(self, amount: int = 1, now: float = 0.0) -> None:
-        """Record ``amount`` events at time ``now``."""
-        self._rotate(now)
-        self._current += amount
-        self.total += amount
-
-    def rate(self, now: float = 0.0) -> float:
-        """Events per second over the live portion of the window."""
-        self._rotate(now)
-        events = self._current + sum(self._closed)
-        covered = len(self._closed) * self._slot_seconds + max(
-            0.0, now - self._slot_start
-        )
-        if covered <= 0.0:
-            return 0.0
-        return events / covered
-
-
-class WindowedHistogram:
-    """A sliding-window quantile summary over the log-bucketed Histogram.
-
-    Maintains a cumulative :class:`~repro.obs.core.Histogram` (whole
-    lifetime) plus a ring of per-slot histograms; :meth:`window` merges
-    the live slots via ``Histogram.merge`` into one bounded summary whose
-    p50/p90/p99 reflect only the trailing window.
-    """
-
-    __slots__ = ("cumulative", "_slot_seconds", "_slots", "_closed", "_current", "_slot_start")
-
-    def __init__(
-        self,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        slots: int = DEFAULT_SLOTS,
-        now: float = 0.0,
-    ):
-        if window_seconds <= 0 or slots < 1:
-            raise ValueError("window_seconds must be > 0 and slots >= 1")
-        self.cumulative = Histogram()
-        self._slots = slots
-        self._slot_seconds = window_seconds / slots
-        self._closed: deque[Histogram] = deque(maxlen=slots)
-        self._current = Histogram()
-        self._slot_start = now
-
-    def _rotate(self, now: float) -> None:
-        gap = now - self._slot_start
-        if gap < self._slot_seconds:
-            return
-        steps = int(gap // self._slot_seconds)
-        self._closed.append(self._current)
-        self._current = Histogram()
-        for _ in range(min(steps - 1, self._slots)):
-            self._closed.append(Histogram())
-        self._slot_start += steps * self._slot_seconds
-
-    def observe(self, value: float, now: float = 0.0) -> None:
-        self._rotate(now)
-        self._current.observe(value)
-        self.cumulative.observe(value)
-
-    def window(self, now: float = 0.0) -> Histogram:
-        """The live slots merged into one histogram (trailing window only)."""
-        self._rotate(now)
-        merged = Histogram()
-        for closed in self._closed:
-            merged.merge(closed)
-        merged.merge(self._current)
-        return merged
-
-
-# ---------------------------------------------------------------------------
-# The registry
-# ---------------------------------------------------------------------------
-
-
-def snapshot_histogram(histogram: Histogram) -> dict[str, Any]:
-    """One histogram as the JSON-safe shape used in feed snapshots."""
-    empty = histogram.count == 0
-    return {
-        "count": histogram.count,
-        "total": histogram.total,
-        "min": None if empty else histogram.minimum,
-        "max": None if empty else histogram.maximum,
-        "p50": histogram.p50,
-        "p90": histogram.p90,
-        "p99": histogram.p99,
-        "buckets": {str(exp): n for exp, n in sorted(histogram.buckets.items())},
-    }
-
-
-def _histogram_from_snapshot(payload: Mapping[str, Any]) -> Histogram:
-    minimum = payload.get("min")
-    maximum = payload.get("max")
-    return Histogram(
-        count=int(payload.get("count", 0)),
-        total=float(payload.get("total", 0.0)),
-        minimum=float("inf") if minimum is None else float(minimum),
-        maximum=float("-inf") if maximum is None else float(maximum),
-        buckets={int(exp): n for exp, n in payload.get("buckets", {}).items()},
-    )
-
-
-class MetricsRegistry:
-    """Named gauges, counters, rate meters, and windowed histograms.
-
-    Thread-safe (one lock around every mutation and snapshot) because a
-    sampler/pump thread and the instrumented workload feed it
-    concurrently.  All time comes from the injected ``clock`` so tests
-    can drive rotation deterministically.
-    """
-
-    def __init__(
-        self,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        slots: int = DEFAULT_SLOTS,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.window_seconds = window_seconds
-        self.slots = slots
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._counters: dict[str, int] = {}
-        self._gauges: dict[str, float] = {}
-        self._meters: dict[str, RateMeter] = {}
-        self._histograms: dict[str, WindowedHistogram] = {}
-        self._created = clock()
-        self._seq = 0
-
-    def _now(self, now: float | None) -> float:
-        return self._clock() if now is None else now
-
-    # --- recording -------------------------------------------------------
-
-    def count(self, name: str, amount: int = 1) -> None:
-        """Add to a monotonic counter."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + amount
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set a point-in-time gauge (last write wins)."""
-        with self._lock:
-            self._gauges[name] = value
-
-    def tick(self, name: str, amount: int = 1, now: float | None = None) -> None:
-        """Record events on the named rate meter."""
-        now = self._now(now)
-        with self._lock:
-            meter = self._meters.get(name)
-            if meter is None:
-                meter = self._meters[name] = RateMeter(
-                    self.window_seconds, self.slots, now
-                )
-            meter.tick(amount, now)
-
-    def observe(self, name: str, value: float, now: float | None = None) -> None:
-        """Record one observation into the named windowed histogram."""
-        now = self._now(now)
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = WindowedHistogram(
-                    self.window_seconds, self.slots, now
-                )
-            histogram.observe(value, now)
-
-    def record_op(self, name: str, seconds: float, now: float | None = None) -> None:
-        """One completed operation: ticks ``<name>`` and observes
-        ``<name>.seconds`` -- the shape every per-op hook uses, so the
-        dashboard can pair each throughput meter with its latency
-        quantiles."""
-        now = self._now(now)
-        self.tick(name, 1, now)
-        self.observe(f"{name}.seconds", seconds, now)
-
-    # --- reading ---------------------------------------------------------
-
-    def snapshot(self, now: float | None = None) -> dict[str, Any]:
-        """The whole registry as one JSON-safe snapshot record."""
-        now = self._now(now)
-        with self._lock:
-            self._seq += 1
-            return {
-                "type": "snapshot",
-                "seq": self._seq,
-                "now": now,
-                "uptime": max(0.0, now - self._created),
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "meters": {
-                    name: {"count": meter.total, "rate": meter.rate(now)}
-                    for name, meter in sorted(self._meters.items())
-                },
-                "histograms": {
-                    name: {
-                        **snapshot_histogram(hist.cumulative),
-                        "window": snapshot_histogram(hist.window(now)),
-                    }
-                    for name, hist in sorted(self._histograms.items())
-                },
-            }
-
-    def reset(self) -> None:
-        """Drop every metric (the enable flag is untouched)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._meters.clear()
-            self._histograms.clear()
-            self._created = self._clock()
-            self._seq = 0
-
-    def render_prometheus(self, now: float | None = None) -> str:
-        """The registry in Prometheus text exposition format (0.0.4).
-
-        Counters become ``repro_<name>_total``, gauges plain gauges,
-        rate meters a counter plus a ``_rate`` gauge, and windowed
-        histograms summaries (windowed p50/p90/p99 as ``quantile``
-        labels, cumulative ``_sum`` / ``_count``).  A future update
-        service can serve this verbatim at ``/metrics``.
-        """
-        return prometheus_from_snapshot(self.snapshot(now))
+def reset() -> None:
+    """Drop every recorded metric in the process-wide registry."""
+    registry().reset()
 
 
 def prometheus_from_snapshot(snap: Mapping[str, Any]) -> str:
-    """Render any snapshot record (live or replayed from a feed) as a
-    Prometheus text exposition -- the same bytes
-    :meth:`MetricsRegistry.render_prometheus` would serve."""
+    """Render any live record (current or replayed from a feed) as a
+    Prometheus text exposition (format 0.0.4).
+
+    Counters become ``repro_<name>_total``, gauges plain gauges, op
+    meters a counter plus a ``_rate`` gauge, and windowed histograms
+    summaries (windowed p50/p90/p99 as ``quantile`` labels, cumulative
+    ``_sum`` / ``_count``).
+    """
     lines: list[str] = []
 
     def emit(name: str, kind: str, help_text: str, samples: list[str]) -> None:
@@ -432,7 +160,6 @@ def merge_snapshots(snapshots: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     meters: dict[str, dict[str, float]] = {}
     cumulative: dict[str, Histogram] = {}
     windows: dict[str, Histogram] = {}
-    totals: dict[str, float] = {}
     newest = 0.0
     seq = 0
     for snap in snapshots:
@@ -448,12 +175,11 @@ def merge_snapshots(snapshots: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
             slot["rate"] += float(meter.get("rate", 0.0))
         for name, hist in snap.get("histograms", {}).items():
             cumulative.setdefault(name, Histogram()).merge(
-                _histogram_from_snapshot(hist)
+                histogram_from_json(hist)
             )
             windows.setdefault(name, Histogram()).merge(
-                _histogram_from_snapshot(hist.get("window", {}))
+                histogram_from_json(hist.get("window", {}))
             )
-            totals[name] = totals.get(name, 0.0) + float(hist.get("total", 0.0))
     return {
         "type": "snapshot",
         "seq": seq,
@@ -472,116 +198,6 @@ def merge_snapshots(snapshots: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
             for name in sorted(cumulative)
         },
     }
-
-
-# ---------------------------------------------------------------------------
-# The module-level hook surface the hot layers call
-# ---------------------------------------------------------------------------
-
-
-_REGISTRY = MetricsRegistry()
-
-
-def registry() -> MetricsRegistry:
-    """The process-wide registry the hook helpers feed."""
-    return _REGISTRY
-
-
-def set_registry(new: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide registry (returns the previous one)."""
-    global _REGISTRY
-    previous = _REGISTRY
-    _REGISTRY = new
-    return previous
-
-
-def enable() -> None:
-    """Turn live telemetry on (process-wide)."""
-    global _ENABLED
-    _ENABLED = True
-
-
-def disable() -> None:
-    """Turn live telemetry off (the registry keeps its data)."""
-    global _ENABLED
-    _ENABLED = False
-
-
-def is_enabled() -> bool:
-    """Whether the hot-layer hooks are currently recording."""
-    return _ENABLED
-
-
-def reset() -> None:
-    """Drop every recorded metric in the process-wide registry."""
-    _REGISTRY.reset()
-
-
-def count(name: str, amount: int = 1) -> None:
-    """Monotonic-counter hook (no-op while telemetry is off)."""
-    if _ENABLED:
-        _REGISTRY.count(name, amount)
-
-
-def observe(name: str, value: float) -> None:
-    """Windowed-histogram hook (no-op while telemetry is off)."""
-    if _ENABLED:
-        _REGISTRY.observe(name, value)
-
-
-def set_gauge(name: str, value: float) -> None:
-    """Gauge hook (no-op while telemetry is off)."""
-    if _ENABLED:
-        _REGISTRY.set_gauge(name, value)
-
-
-def record_op(name: str, seconds: float) -> None:
-    """Completed-operation hook (no-op while telemetry is off)."""
-    if _ENABLED:
-        _REGISTRY.record_op(name, seconds)
-
-
-class _NullTimer:
-    """Shared do-nothing timer handed out while telemetry is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-
-
-class _Timer:
-    __slots__ = ("name", "start")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.start = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        _REGISTRY.record_op(self.name, time.perf_counter() - self.start)
-        return False
-
-
-def timed(name: str):
-    """``with timed("hlu.update"):`` -- throughput + latency for one op.
-
-    Returns the shared null timer while telemetry is off, so a hot call
-    site costs one global load; enabled, the exit records both the rate
-    meter tick and the windowed latency observation.
-    """
-    if not _ENABLED:
-        return _NULL_TIMER
-    return _Timer(name)
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +232,8 @@ class ResourceSampler:
     can drive it synchronously.
     """
 
-    def __init__(self, target: MetricsRegistry | None = None):
-        self._registry = target if target is not None else _REGISTRY
+    def __init__(self, target: Registry | None = None):
+        self._registry = target if target is not None else registry()
 
     def sample_once(self) -> None:
         import gc
@@ -676,10 +292,10 @@ class TelemetryWriter:
     def __init__(
         self,
         sink: str | IO[str],
-        source: MetricsRegistry | None = None,
+        source: Registry | None = None,
         worker: str | None = None,
     ):
-        self._registry = source if source is not None else _REGISTRY
+        self._registry = source if source is not None else registry()
         self._worker = worker
         if isinstance(sink, str):
             self._handle: IO[str] = open(sink, "w")
@@ -703,8 +319,8 @@ class TelemetryWriter:
             {
                 "type": "meta",
                 "schema": FEED_SCHEMA_VERSION,
-                "window_seconds": self._registry.window_seconds,
-                "slots": self._registry.slots,
+                "window_seconds": WINDOW_SECONDS,
+                "slots": WINDOW_SLOTS,
                 "worker": self._worker,
             }
         )
@@ -714,7 +330,7 @@ class TelemetryWriter:
         """Append one snapshot record (meta line emitted lazily first)."""
         with self._io_lock:
             self._ensure_meta()
-            snap = self._registry.snapshot(now)
+            snap = self._registry.live_record(now)
             if self._worker is not None:
                 snap["worker"] = self._worker
             self._write(snap)
@@ -943,8 +559,8 @@ def merge_feeds(texts: Iterable[str]) -> str:
         all_snapshots.extend(snapshots)
         if snapshots:
             finals.append(snapshots[-1])
-    window = metas[0]["window_seconds"] if metas else DEFAULT_WINDOW_SECONDS
-    slots = metas[0]["slots"] if metas else DEFAULT_SLOTS
+    window = metas[0]["window_seconds"] if metas else WINDOW_SECONDS
+    slots = metas[0]["slots"] if metas else WINDOW_SLOTS
     lines = [
         json.dumps(
             {
@@ -969,4 +585,4 @@ def merge_feeds(texts: Iterable[str]) -> str:
 
 def render_prometheus(now: float | None = None) -> str:
     """The process-wide registry in Prometheus text exposition format."""
-    return _REGISTRY.render_prometheus(now)
+    return prometheus_from_snapshot(registry().live_record(now))

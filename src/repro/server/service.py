@@ -15,10 +15,11 @@ it finishes.
 
 Operational surface:
 
-* live telemetry through the process-wide :mod:`repro.obs.runtime`
-  registry -- per-op rate meters and windowed latency histograms
-  (``srv.update``, ``srv.query``, ...), gauges for live sessions and
-  connections, streamed to a JSONL feed by a background pump;
+* live telemetry in the process-wide :mod:`repro.obs` registry -- per-op
+  meters and windowed latency histograms (``srv.update``,
+  ``srv.query``, ..., and the kernel ops below them), the kernel work
+  counters, gauges for live sessions and connections -- streamed to a
+  JSONL feed by a :mod:`repro.obs.runtime` pump;
 * the session audit trail (:mod:`repro.hlu.audit`): with ``--audit-out``
   every session the service opens records its operations, so a drained
   server leaves a trail that ``python -m repro.cli audit --replay``
@@ -41,12 +42,12 @@ import asyncio
 import itertools
 import signal
 import sys
-import time
 from typing import Any
 
 from repro.errors import EvaluationError, ParseError, ProtocolError, ReproError
 from repro.hlu import audit as audit_mod
 from repro.hlu.session import IncompleteDatabase
+from repro.obs import core as obs
 from repro.obs import runtime
 from repro.obs.logging import get_logger
 from repro.server import protocol
@@ -180,7 +181,7 @@ class UpdateService:
     ) -> None:
         scope = f"c{next(self._conn_ids)}"
         self.connections += 1
-        runtime.set_gauge("srv.connections", float(self.connections))
+        obs.set_gauge("srv.connections", float(self.connections))
         self._writers.add(writer)
         # asyncio's selector transports read ``max_size`` bytes per recv
         # (not a public setting, so only where the attribute exists).
@@ -226,7 +227,7 @@ class UpdateService:
                     extra={"scope": scope, "sessions_dropped": len(closed)},
                 )
             self.connections -= 1
-            runtime.set_gauge("srv.connections", float(self.connections))
+            obs.set_gauge("srv.connections", float(self.connections))
             self._writers.discard(writer)
             writer.close()
             try:
@@ -238,33 +239,29 @@ class UpdateService:
         try:
             request = protocol.parse_request(line)
         except ProtocolError as error:
-            runtime.count("srv.bad_requests")
+            obs.inc("srv.bad_requests")
             return protocol.error_response(
                 error.request_id, error.code, str(error)
             )
         self.requests_total += 1
-        started = time.perf_counter()
-        try:
-            return self._dispatch(request, scope)
-        except ReproError as error:
-            # A library-level failure the validator could not foresee
-            # (e.g. a constraint set the backend refuses): a clean error
-            # response, not a dropped connection.
-            runtime.count("srv.errors")
-            return protocol.error_response(request.id, "rejected", str(error))
-        except Exception as error:  # noqa: BLE001 - the service must survive
-            runtime.count("srv.errors")
-            _LOG.warning(
-                "internal error",
-                extra={"op": request.op, "error": repr(error)},
-            )
-            return protocol.error_response(
-                request.id, "internal", f"internal error: {error!r}"
-            )
-        finally:
-            runtime.record_op(
-                f"srv.{request.op}", time.perf_counter() - started
-            )
+        with obs.op(f"srv.{request.op}"):
+            try:
+                return self._dispatch(request, scope)
+            except ReproError as error:
+                # A library-level failure the validator could not foresee
+                # (e.g. a constraint set the backend refuses): a clean
+                # error response, not a dropped connection.
+                obs.inc("srv.errors")
+                return protocol.error_response(request.id, "rejected", str(error))
+            except Exception as error:  # noqa: BLE001 - the service must survive
+                obs.inc("srv.errors")
+                _LOG.warning(
+                    "internal error",
+                    extra={"op": request.op, "error": repr(error)},
+                )
+                return protocol.error_response(
+                    request.id, "internal", f"internal error: {error!r}"
+                )
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -283,8 +280,8 @@ class UpdateService:
                 connections=self.connections,
                 draining=self.draining,
                 requests_total=self.requests_total,
-                telemetry=runtime.registry().snapshot()
-                if runtime.is_enabled()
+                telemetry=obs.registry().live_record()
+                if obs.is_live()
                 else None,
             )
         if self.draining:

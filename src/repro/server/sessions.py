@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro.errors import EvaluationError
 from repro.hlu.session import IncompleteDatabase
-from repro.obs import runtime
+from repro.obs import core as obs
 
 __all__ = [
     "DEFAULT_IDLE_TIMEOUT",
@@ -136,7 +136,7 @@ class SessionRegistry:
             del self._entries[name]
         if stale:
             self.evicted_total += len(stale)
-            runtime.count("srv.sessions_evicted", len(stale))
+            obs.inc("srv.sessions_evicted", len(stale))
             self._update_gauge()
         return stale
 
@@ -152,4 +152,4 @@ class SessionRegistry:
         return doomed
 
     def _update_gauge(self) -> None:
-        runtime.set_gauge("srv.sessions", float(len(self._entries)))
+        obs.set_gauge("srv.sessions", float(len(self._entries)))

@@ -155,8 +155,9 @@ class TestModuleSwitchboard:
 
     def test_resize_evictions_reach_telemetry(self):
         from repro.obs import runtime
+        from repro.obs.core import Registry
 
-        previous = runtime.set_registry(runtime.MetricsRegistry())
+        previous = runtime.set_registry(Registry())
         runtime.enable()
         try:
             cache.enable_cache(capacity=4)
@@ -165,8 +166,8 @@ class TestModuleSwitchboard:
             cache.enable_cache(capacity=1)
             cache.lookup("k", "c")  # list the store in cache_stats
             assert cache.cache_stats()["k"]["evictions"] == 2
-            counters = runtime.registry().snapshot()["counters"]
-            assert counters.get("cache.evictions") == 2
+            counters = runtime.registry().live_record()["counters"]
+            assert counters.get("cache.k.evictions") == 2
         finally:
             runtime.disable()
             runtime.set_registry(previous)

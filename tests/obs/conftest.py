@@ -1,6 +1,5 @@
 """Fixtures for the observability tests: every test starts and ends with
-instrumentation off and a clean context-local state (and a clean
-process-wide telemetry registry)."""
+both mode bits off, an empty tracer and an empty process-wide registry."""
 
 import pytest
 

@@ -35,6 +35,66 @@ class TestEnableFlag:
         assert core.is_enabled()
 
 
+class TestMode:
+    """One mode word: TRACE records spans, LIVE records op latencies,
+    either counts, and suspended() switches both off."""
+
+    def test_disable_leaves_telemetry_on(self):
+        core.enable()
+        core.enable_live()
+        core.disable()
+        assert core.is_live()
+        assert not core.is_enabled()
+
+    def test_suspended_switches_both_bits_off(self):
+        core.enable()
+        core.enable_live()
+        with core.suspended():
+            assert not core.is_enabled() and not core.is_live()
+            core.inc("hidden")
+            with core.op("hidden.op"):
+                pass
+        assert core.is_enabled() and core.is_live()
+        assert core.counters().get("hidden") == 0
+        assert core.tracer().roots == []
+        assert core.registry().live_record()["meters"] == {}
+
+    def test_live_bit_alone_counts(self):
+        core.enable_live()
+        core.inc("live_only", 2)
+        core.observe("sizes", 3.0)
+        assert core.counters().get("live_only") == 2
+        assert core.counters().histogram("sizes").count == 1
+
+    def test_op_is_a_span_when_tracing(self):
+        core.enable()
+        with core.op("blu.c.mask", letters=2) as current:
+            current.set(clauses_out=3)
+        (root,) = core.tracer().roots
+        assert root.name == "blu.c.mask"
+        assert root.attributes == {"letters": 2, "clauses_out": 3}
+        assert core.registry().live_record()["meters"] == {}
+
+    def test_op_is_a_latency_when_live(self):
+        core.enable_live()
+        with core.op("blu.c.mask", letters=2) as current:
+            assert current is core._NULL_SPAN
+        assert core.tracer().roots == []
+        meters = core.registry().live_record()["meters"]
+        assert meters["blu.c.mask"]["count"] == 1
+
+    def test_op_records_both_when_both_bits_are_set(self):
+        core.enable()
+        core.enable_live()
+        with pytest.raises(RuntimeError):
+            with core.op("hlu.apply") as current:
+                assert current.name == "hlu.apply"
+                raise RuntimeError("boom")
+        assert [span.name for span in core.tracer().roots] == ["hlu.apply"]
+        assert core.tracer().depth == 0
+        assert core.registry().live_record()["meters"]["hlu.apply"]["count"] == 1
+
+
 class TestSpans:
     def test_nesting_recorded_as_tree(self):
         core.enable()
@@ -330,10 +390,10 @@ class TestHistogramMerge:
 
 class TestCountersMerge:
     def test_counts_sum_and_histograms_merge(self):
-        left = core.Counters()
+        left = core.Registry()
         left.inc("shared", 2)
         left.observe("h", 1.0)
-        right = core.Counters()
+        right = core.Registry()
         right.inc("shared", 3)
         right.inc("only_right")
         right.observe("h", 5.0)
@@ -346,10 +406,10 @@ class TestCountersMerge:
         assert left.histogram("only_right_h").count == 1
 
     def test_merging_counters_with_empty_histogram_keeps_target_range(self):
-        left = core.Counters()
+        left = core.Registry()
         left.observe("h", 4.0)
-        right = core.Counters()
-        right._histograms["h"] = core.Histogram()  # empty, sentinel min/max
+        right = core.Registry()
+        right.merge_histogram("h", core.Histogram())  # empty, sentinel min/max
         left.merge(right)
         assert left.histogram("h").minimum == 4.0
         assert left.histogram("h").maximum == 4.0
@@ -418,22 +478,29 @@ class TestTrackMemory:
 
 
 class TestIsolation:
+    """The tracer is context-local; the counters are one process-wide
+    registry, so every thread's and context's work lands in it."""
+
     def test_thread_gets_its_own_state(self):
         core.enable()
         core.inc("main_only")
+        with core.span("main_span"):
+            pass
         seen_in_thread = {}
 
         def worker():
             core.inc("thread_only", 7)
+            with core.span("thread_span"):
+                pass
             seen_in_thread["main_only"] = core.counters().get("main_only")
-            seen_in_thread["thread_only"] = core.counters().get("thread_only")
+            seen_in_thread["roots"] = [s.name for s in core.tracer().roots]
 
         thread = threading.Thread(target=worker)
         thread.start()
         thread.join()
-        assert seen_in_thread == {"main_only": 0, "thread_only": 7}
-        assert core.counters().get("thread_only") == 0
-        assert core.counters().get("main_only") == 1
+        assert seen_in_thread == {"main_only": 1, "roots": ["thread_span"]}
+        assert [s.name for s in core.tracer().roots] == ["main_span"]
+        assert core.counters().get("thread_only") == 7
 
     def test_fresh_contextvars_context_is_isolated(self):
         core.enable()
@@ -450,8 +517,8 @@ class TestIsolation:
             )
 
         result = contextvars.Context().run(in_context)
-        assert result == (0, 3, ["inner_span"])
-        assert core.counters().get("inner") == 0
+        assert result == (1, 3, ["inner_span"])
+        assert core.counters().get("inner") == 3
         assert core.tracer().roots == []
 
     def test_enable_flag_is_process_wide(self):

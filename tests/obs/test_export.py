@@ -90,8 +90,8 @@ class TestJsonl:
     def test_empty_histogram_exports_null_min_max(self):
         # Regression: the +/-inf sentinels used to leak into the JSON as
         # bare Infinity tokens, which no strict parser accepts.
-        registry = core.Counters()
-        registry._histograms["never_observed"] = core.Histogram()
+        registry = core.Registry()
+        registry.merge_histogram("never_observed", core.Histogram())
         text = export_jsonl([], registry)
         (record,) = [json.loads(line) for line in text.splitlines()]
         assert record["count"] == 0

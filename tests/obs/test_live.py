@@ -4,20 +4,25 @@ import io
 
 import pytest
 
-from repro.obs import live, runtime
+from repro.obs import live
+from repro.obs.core import Registry
+
+#: Per-kernel cache counters, the names the memo-cache records.
+HITS = "cache.logic.rclosure.hits"
+MISSES = "cache.logic.rclosure.misses"
 
 
 def _snapshot(counters=None, ops=None, gauges=None):
-    """A snapshot dict via a real registry, so shapes never drift."""
-    registry = runtime.MetricsRegistry(clock=lambda: 1.0)
+    """A live record via a real registry, so shapes never drift."""
+    registry = Registry(clock=lambda: 1.0)
     for name, value in (counters or {}).items():
-        registry.count(name, value)
+        registry.inc(name, value)
     for name, seconds_list in (ops or {}).items():
         for seconds in seconds_list:
             registry.record_op(name, seconds)
     for name, value in (gauges or {}).items():
         registry.set_gauge(name, value)
-    return registry.snapshot(now=2.0)
+    return registry.live_record(now=2.0)
 
 
 class TestDigests:
@@ -29,12 +34,12 @@ class TestDigests:
 
     def test_latency_quantiles_merge_only_seconds_histograms(self):
         snap = _snapshot(ops={"a": [0.004] * 10})
-        registry_other = runtime.MetricsRegistry(clock=lambda: 1.0)
+        registry_other = Registry(clock=lambda: 1.0)
         registry_other.observe("clauses.retained", 500.0)  # not *.seconds
         merged = dict(snap)
         merged["histograms"] = {
             **snap["histograms"],
-            **registry_other.snapshot(now=2.0)["histograms"],
+            **registry_other.live_record(now=2.0)["histograms"],
         }
         p50, p99 = live.latency_quantiles(merged)
         assert p50 is not None and p50 < 1.0  # seconds-scale, not clause-scale
@@ -45,7 +50,9 @@ class TestDigests:
         assert live.latency_quantiles(_snapshot()) == (None, None)
 
     def test_cache_hit_rate(self):
-        snap = _snapshot(counters={"cache.hits": 3, "cache.misses": 1})
+        snap = _snapshot(
+            counters={HITS: 2, "cache.logic.reduce.hits": 1, MISSES: 1}
+        )
         assert live.cache_hit_rate(snap) == 0.75
         assert live.cache_hit_rate(_snapshot()) is None
         assert live.cache_hit_rate(None) is None
@@ -57,8 +64,8 @@ class TestRenderDashboard:
         view = model.worker("E6")
         view.status = "done"
         view.snapshot = _snapshot(
-            counters={"cache.hits": 1, "cache.misses": 1},
-            ops={"hlu.update": [0.002] * 5},
+            counters={HITS: 1, MISSES: 1},
+            ops={"hlu.apply": [0.002] * 5},
         )
         model.worker("E7").status = "running"
         return model
@@ -82,10 +89,10 @@ class TestRenderDashboard:
 
     def test_merged_snapshot_sums_workers(self):
         model = live.DashboardModel()
-        model.worker("a").snapshot = _snapshot(counters={"cache.hits": 2})
-        model.worker("b").snapshot = _snapshot(counters={"cache.hits": 3})
+        model.worker("a").snapshot = _snapshot(counters={HITS: 2})
+        model.worker("b").snapshot = _snapshot(counters={HITS: 3})
         merged = model.merged_snapshot()
-        assert merged["counters"]["cache.hits"] == 5
+        assert merged["counters"][HITS] == 5
 
 
 class TestRenderWatch:
@@ -94,17 +101,17 @@ class TestRenderWatch:
         assert live.render_watch(_snapshot()) == "(no telemetry recorded yet)"
 
     def test_ops_table_pairs_meter_with_seconds(self):
-        text = live.render_watch(_snapshot(ops={"hlu.update": [0.002, 0.004]}))
-        assert "hlu.update" in text
-        row = next(line for line in text.splitlines() if "hlu.update" in line)
+        text = live.render_watch(_snapshot(ops={"hlu.apply": [0.002, 0.004]}))
+        assert "hlu.apply" in text
+        row = next(line for line in text.splitlines() if "hlu.apply" in line)
         assert " 2 " in row  # count column
         assert "ms" in row
 
     def test_counters_and_cache_rate_shown(self):
         text = live.render_watch(
-            _snapshot(counters={"cache.hits": 9, "cache.misses": 1})
+            _snapshot(counters={HITS: 9, MISSES: 1})
         )
-        assert "cache.hits=9" in text
+        assert f"{HITS}=9" in text
         assert "cache hit rate: 90%" in text
 
 

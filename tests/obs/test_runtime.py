@@ -1,4 +1,5 @@
-"""Tests for repro.obs.runtime: windowed metrics, feeds, and exposition."""
+"""Tests for the live side of the one registry: windowed metrics, op
+meters, feeds, and the Prometheus exposition."""
 
 import io
 import json
@@ -8,8 +9,13 @@ import threading
 
 import pytest
 
+from repro.obs import core as obs
 from repro.obs import runtime
-from repro.obs.core import Histogram
+from repro.obs.core import Histogram, Registry, WindowedHistogram
+
+
+#: A per-kernel cache counter, the kind of name the memo-cache records.
+HITS = "cache.logic.rclosure.hits"
 
 
 class FakeClock:
@@ -33,42 +39,41 @@ def clock():
 
 @pytest.fixture()
 def registry(clock):
-    return runtime.MetricsRegistry(window_seconds=10.0, slots=5, clock=clock)
+    return Registry(clock=clock)
 
 
 class TestRateMeter:
-    def test_total_is_monotonic(self):
-        meter = runtime.RateMeter(window_seconds=10.0, slots=5)
+    """Op meters are the counts of ``<op>.seconds`` windowed histograms:
+    ``count`` over the whole lifetime, ``rate`` over the covered window."""
+
+    @staticmethod
+    def _meter(registry, now):
+        return registry.live_record(now=now)["meters"]["ops"]
+
+    def test_total_is_monotonic(self, registry):
         seen = []
         for step in range(50):
-            meter.tick(1, now=step * 0.7)
-            seen.append(meter.total)
+            registry.record_op("ops", 0.001, now=step * 0.7)
+            seen.append(self._meter(registry, step * 0.7)["count"])
         assert seen == sorted(seen)
-        assert meter.total == 50
+        assert seen[-1] == 50
 
-    def test_rate_reflects_only_the_window(self):
-        meter = runtime.RateMeter(window_seconds=10.0, slots=5)
+    def test_rate_reflects_only_the_window(self, registry):
         for i in range(100):
-            meter.tick(1, now=float(i) * 0.1)  # 100 events in the first 10s
-        # 60 seconds later the window is empty; the total is not.
-        assert meter.rate(now=70.0) == 0.0
-        assert meter.total == 100
+            registry.record_op("ops", 0.001, now=float(i) * 0.1)  # first 10s
+        # 60 seconds later the window is empty; the count is not.
+        meter = self._meter(registry, 70.0)
+        assert meter["rate"] == 0.0
+        assert meter["count"] == 100
 
-    def test_rate_is_events_per_covered_second(self):
-        meter = runtime.RateMeter(window_seconds=10.0, slots=5)
+    def test_rate_is_events_per_covered_second(self, registry):
         for i in range(20):
-            meter.tick(1, now=float(i) * 0.5)  # 2 events/s for 10s
-        assert meter.rate(now=10.0) == pytest.approx(2.0, rel=0.1)
+            registry.record_op("ops", 0.001, now=float(i) * 0.5)  # 2/s for 10s
+        assert self._meter(registry, 10.0)["rate"] == pytest.approx(2.0, rel=0.1)
 
-    def test_zero_covered_time_reports_zero(self):
-        meter = runtime.RateMeter(window_seconds=10.0, slots=5)
-        assert meter.rate(now=0.0) == 0.0
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            runtime.RateMeter(window_seconds=0.0)
-        with pytest.raises(ValueError):
-            runtime.RateMeter(slots=0)
+    def test_zero_covered_time_reports_zero(self, registry):
+        registry.record_op("ops", 0.001, now=0.0)
+        assert self._meter(registry, 0.0)["rate"] == 0.0
 
 
 class TestWindowedHistogram:
@@ -76,7 +81,7 @@ class TestWindowedHistogram:
         """The windowed quantiles must equal a plain Histogram built from
         exactly the observations whose slots are still live."""
         rng = random.Random(0x5EED)
-        windowed = runtime.WindowedHistogram(window_seconds=10.0, slots=5)
+        windowed = WindowedHistogram()
         observations = []  # (slot_index, value)
         for step in range(400):
             now = step * 0.25  # 8 observations per 2s slot
@@ -96,9 +101,10 @@ class TestWindowedHistogram:
         assert merged.p50 == brute.p50
         assert merged.p90 == brute.p90
         assert merged.p99 == brute.p99
+        assert windowed.cumulative.count == 400
 
     def test_old_observations_age_out(self):
-        windowed = runtime.WindowedHistogram(window_seconds=10.0, slots=5)
+        windowed = WindowedHistogram()
         windowed.observe(100.0, now=0.0)
         windowed.observe(1.0, now=60.0)
         window = windowed.window(now=60.0)
@@ -108,20 +114,20 @@ class TestWindowedHistogram:
         assert windowed.cumulative.maximum == 100.0
 
     def test_idle_gap_does_not_overfill_ring(self):
-        windowed = runtime.WindowedHistogram(window_seconds=10.0, slots=5)
+        windowed = WindowedHistogram()
         windowed.observe(1.0, now=0.0)
-        windowed.observe(2.0, now=1e6)  # huge gap: only maxlen slots kept
+        windowed.observe(2.0, now=1e6)  # huge gap: only the ring's slots kept
         assert windowed.window(now=1e6).count == 1
+        assert windowed.cumulative.count == 2
 
 
 class TestMetricsRegistry:
     def test_snapshot_shape(self, registry, clock):
-        registry.count("events", 3)
+        registry.inc("events", 3)
         registry.set_gauge("rss", 12.5)
-        registry.tick("ops")
-        registry.observe("ops.seconds", 0.25)
+        registry.record_op("ops", 0.25)
         clock.advance(1.0)
-        snap = registry.snapshot()
+        snap = registry.live_record()
         assert snap["type"] == "snapshot"
         assert snap["seq"] == 1
         assert snap["uptime"] == pytest.approx(1.0)
@@ -134,20 +140,22 @@ class TestMetricsRegistry:
         assert json.loads(json.dumps(snap)) == snap  # JSON-safe
 
     def test_record_op_pairs_meter_with_seconds_histogram(self, registry):
-        registry.record_op("hlu.update", 0.004)
-        snap = registry.snapshot()
-        assert snap["meters"]["hlu.update"]["count"] == 1
-        assert snap["histograms"]["hlu.update.seconds"]["count"] == 1
+        registry.record_op("hlu.apply", 0.004)
+        registry.observe("blu.c.state_clauses", 7)  # a value, not an op
+        snap = registry.live_record()
+        assert snap["meters"] == {"hlu.apply": snap["meters"]["hlu.apply"]}
+        assert snap["meters"]["hlu.apply"]["count"] == 1
+        assert snap["histograms"]["hlu.apply.seconds"]["count"] == 1
 
     def test_seq_increments_per_snapshot(self, registry):
-        assert registry.snapshot()["seq"] == 1
-        assert registry.snapshot()["seq"] == 2
+        assert registry.live_record()["seq"] == 1
+        assert registry.live_record()["seq"] == 2
 
     def test_reset_drops_everything(self, registry):
-        registry.count("x")
+        registry.inc("x")
         registry.record_op("op", 0.1)
         registry.reset()
-        snap = registry.snapshot()
+        snap = registry.live_record()
         assert snap["counters"] == {}
         assert snap["meters"] == {}
         assert snap["histograms"] == {}
@@ -156,7 +164,7 @@ class TestMetricsRegistry:
     def test_concurrent_recording_is_consistent(self, registry):
         def hammer():
             for _ in range(1000):
-                registry.count("hits")
+                registry.inc("hits")
                 registry.record_op("op", 0.001)
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
@@ -164,7 +172,7 @@ class TestMetricsRegistry:
             thread.start()
         for thread in threads:
             thread.join()
-        snap = registry.snapshot()
+        snap = registry.live_record()
         assert snap["counters"]["hits"] == 4000
         assert snap["meters"]["op"]["count"] == 4000
         assert snap["histograms"]["op.seconds"]["count"] == 4000
@@ -173,52 +181,78 @@ class TestMetricsRegistry:
 class TestModuleHooks:
     def test_disabled_hooks_record_nothing(self):
         assert not runtime.is_enabled()
-        runtime.count("x")
-        runtime.observe("h", 1.0)
-        runtime.set_gauge("g", 2.0)
-        runtime.record_op("op", 0.1)
-        with runtime.timed("op"):
+        obs.inc("x")
+        obs.observe("h", 1.0)
+        obs.set_gauge("g", 2.0)
+        with obs.op("op"):
             pass
-        snap = runtime.registry().snapshot()
+        snap = runtime.registry().live_record()
         assert snap["counters"] == {}
         assert snap["meters"] == {}
         assert snap["histograms"] == {}
         assert snap["gauges"] == {}
 
     def test_disabled_timed_returns_shared_null_timer(self):
-        assert runtime.timed("a") is runtime.timed("b")
+        assert obs.op("a") is obs.op("b")
 
     def test_enabled_hooks_record(self):
         runtime.enable()
-        runtime.count("x", 2)
-        with runtime.timed("op"):
+        obs.inc("x", 2)
+        with obs.op("op"):
             pass
-        snap = runtime.registry().snapshot()
+        snap = runtime.registry().live_record()
         assert snap["counters"] == {"x": 2}
         assert snap["meters"]["op"]["count"] == 1
         assert snap["histograms"]["op.seconds"]["count"] == 1
+        assert obs.tracer().roots == []  # telemetry alone opens no spans
 
     def test_set_registry_swaps(self, registry):
         previous = runtime.set_registry(registry)
         try:
             runtime.enable()
-            runtime.count("swapped")
-            assert registry.snapshot()["counters"] == {"swapped": 1}
+            obs.inc("swapped")
+            assert registry.live_record()["counters"] == {"swapped": 1}
         finally:
             runtime.set_registry(previous)
 
 
+class TestOneStore:
+    def test_trace_and_live_record_read_the_same_counters(self):
+        """Tracing and telemetry together: one session's updates and
+        queries leave one set of counters, which the trace side's
+        snapshot and the live record both report."""
+        from repro.hlu.session import IncompleteDatabase
+
+        obs.enable()
+        runtime.enable()
+        db = IncompleteDatabase.over(4)
+        db.insert("A1 | A2")
+        db.assert_("~A1 | A3")
+        db.delete("A2")
+        assert db.is_certain("A1 | A2 | A3 | ~A3")
+        assert db.is_possible("A1")
+        snapshot = obs.counters().snapshot()
+        record = runtime.registry().live_record()
+        assert snapshot == record["counters"]
+        assert snapshot["hlu.updates"] == 3
+        assert snapshot["hlu.queries"] == 2
+        assert {"hlu.apply", "hlu.is_certain", "hlu.is_possible"} <= set(record["meters"])
+        assert record["meters"]["hlu.apply"]["count"] == 3
+        spans = [span.name for span in obs.tracer().roots]
+        assert spans == ["hlu.apply"] * 3 + ["hlu.is_certain", "hlu.is_possible"]
+
+
 class TestMergeSnapshots:
     def test_exact_histogram_merge_not_average_of_averages(self, clock):
-        left = runtime.MetricsRegistry(clock=clock)
-        right = runtime.MetricsRegistry(clock=clock)
+        left = Registry(clock=clock)
+        right = Registry(clock=clock)
         values_left = [0.001] * 99 + [10.0]
         values_right = [10.0] * 100
         for value in values_left:
             left.observe("op.seconds", value)
         for value in values_right:
             right.observe("op.seconds", value)
-        merged = runtime.merge_snapshots([left.snapshot(), right.snapshot()])
+        merged = runtime.merge_snapshots([left.live_record(), right.live_record()])
         single = Histogram()
         for value in values_left + values_right:
             single.observe(value)
@@ -228,17 +262,19 @@ class TestMergeSnapshots:
         assert hist["p99"] == single.p99
 
     def test_counters_meters_gauges_sum(self, clock):
-        left = runtime.MetricsRegistry(clock=clock)
-        right = runtime.MetricsRegistry(clock=clock)
-        left.count("cache.hits", 3)
-        right.count("cache.hits", 4)
-        right.count("only_right")
+        left = Registry(clock=clock)
+        right = Registry(clock=clock)
+        left.inc(HITS, 3)
+        right.inc(HITS, 4)
+        right.inc("only_right")
         left.set_gauge("proc.rss_bytes", 100.0)
         right.set_gauge("proc.rss_bytes", 50.0)
-        left.tick("ops", 5)
-        right.tick("ops", 7)
-        merged = runtime.merge_snapshots([left.snapshot(), right.snapshot()])
-        assert merged["counters"] == {"cache.hits": 7, "only_right": 1}
+        for _ in range(5):
+            left.record_op("ops", 0.001)
+        for _ in range(7):
+            right.record_op("ops", 0.001)
+        merged = runtime.merge_snapshots([left.live_record(), right.live_record()])
+        assert merged["counters"] == {HITS: 7, "only_right": 1}
         assert merged["gauges"] == {"proc.rss_bytes": 150.0}
         assert merged["meters"]["ops"]["count"] == 12
 
@@ -279,44 +315,48 @@ class TestPrometheusRendering:
         assert helped == typed, "every family needs both HELP and TYPE"
         return families
 
+    @staticmethod
+    def _render(registry):
+        return runtime.prometheus_from_snapshot(registry.live_record())
+
     def test_exposition_is_parseable_with_help_and_type(self, registry):
-        registry.count("cache.hits", 9)
+        registry.inc(HITS, 9)
         registry.set_gauge("proc.rss_bytes", 1024.0)
-        registry.record_op("hlu.update", 0.002)
-        text = registry.render_prometheus()
+        registry.record_op("hlu.apply", 0.002)
+        text = self._render(registry)
         families = self._parse(text)
-        assert families["repro_cache_hits_total"][0] == "counter"
+        assert families["repro_cache_logic_rclosure_hits_total"][0] == "counter"
         assert families["repro_proc_rss_bytes"][0] == "gauge"
-        assert families["repro_hlu_update_ops_total"][0] == "counter"
-        assert families["repro_hlu_update_ops_rate"][0] == "gauge"
-        kind, samples = families["repro_hlu_update_seconds"]
+        assert families["repro_hlu_apply_ops_total"][0] == "counter"
+        assert families["repro_hlu_apply_ops_rate"][0] == "gauge"
+        kind, samples = families["repro_hlu_apply_seconds"]
         assert kind == "summary"
         assert any('quantile="0.5"' in line for line in samples)
-        assert any(line.startswith("repro_hlu_update_seconds_sum ") for line in samples)
+        assert any(line.startswith("repro_hlu_apply_seconds_sum ") for line in samples)
         assert any(
-            line.startswith("repro_hlu_update_seconds_count ") for line in samples
+            line.startswith("repro_hlu_apply_seconds_count ") for line in samples
         )
 
     def test_metric_names_are_sanitised(self, registry):
-        registry.count("blu.c.assert", 1)
-        text = registry.render_prometheus()
+        registry.inc("blu.c.assert", 1)
+        text = self._render(registry)
         assert "repro_blu_c_assert_total 1" in text
 
     def test_empty_registry_renders_empty(self, registry):
-        assert registry.render_prometheus() == ""
+        assert self._render(registry) == ""
 
     def test_module_level_render_uses_process_registry(self):
         runtime.enable()
-        runtime.count("events", 2)
+        obs.inc("events", 2)
         assert "repro_events_total 2" in runtime.render_prometheus()
 
 
 class TestFeed:
     def _feed(self, clock, worker="w1", counters=None):
-        registry = runtime.MetricsRegistry(clock=clock)
-        for name, value in (counters or {"cache.hits": 2}).items():
-            registry.count(name, value)
-        registry.record_op("hlu.update", 0.003)
+        registry = Registry(clock=clock)
+        for name, value in (counters or {HITS: 2}).items():
+            registry.inc(name, value)
+        registry.record_op("hlu.apply", 0.003)
         buffer = io.StringIO()
         writer = runtime.TelemetryWriter(buffer, source=registry, worker=worker)
         writer.write_snapshot()
@@ -386,16 +426,16 @@ class TestFeed:
         assert any("missing window" in error for error in errors)
 
     def test_merge_feeds_round_trips(self, clock):
-        feed_a = self._feed(clock, worker="E6", counters={"cache.hits": 2})
-        feed_b = self._feed(clock, worker="E7", counters={"cache.hits": 5})
+        feed_a = self._feed(clock, worker="E6", counters={HITS: 2})
+        feed_b = self._feed(clock, worker="E7", counters={HITS: 5})
         merged = runtime.merge_feeds([feed_a, feed_b])
         assert runtime.validate_feed(merged) == []
         meta, snapshots = runtime.read_feed(merged)
         assert meta["workers"] == ["E6", "E7"]
         combined = snapshots[-1]
         assert combined["worker"] == "merged"
-        assert combined["counters"]["cache.hits"] == 7
-        assert combined["meters"]["hlu.update"]["count"] == 2
+        assert combined["counters"][HITS] == 7
+        assert combined["meters"]["hlu.apply"]["count"] == 2
 
     def test_merge_feeds_of_nothing_is_still_a_valid_feed(self):
         merged = runtime.merge_feeds([])
@@ -406,7 +446,7 @@ class TestPumpAndSampler:
     def test_sample_once_sets_process_gauges(self, registry):
         sampler = runtime.ResourceSampler(registry)
         sampler.sample_once()
-        gauges = registry.snapshot()["gauges"]
+        gauges = registry.live_record()["gauges"]
         assert gauges.get("proc.rss_bytes", 0) > 0
         assert "gc.gen0_objects" in gauges
         assert "gc.collections" in gauges
@@ -428,7 +468,7 @@ class TestPumpAndSampler:
         writer = runtime.TelemetryWriter(buffer, source=registry, worker="w")
         pump = runtime.TelemetryPump(writer, interval=3600.0)
         pump.start()
-        registry.count("late")
+        registry.inc("late")
         pump.stop(final_snapshot=True)
         assert not pump.is_alive()
         _, snapshots = runtime.read_feed(buffer.getvalue())

@@ -9,14 +9,11 @@ by hammering a shared writer from many threads.
 
 import io
 import json
+import sys
 import threading
 
-from repro.obs.runtime import (
-    MetricsRegistry,
-    TelemetryWriter,
-    read_feed,
-    validate_feed,
-)
+from repro.obs.core import Registry
+from repro.obs.runtime import TelemetryWriter, read_feed, validate_feed
 
 THREADS = 8
 SNAPSHOTS_PER_THREAD = 25
@@ -30,7 +27,7 @@ def _hammer(writer: TelemetryWriter, barrier: threading.Barrier) -> None:
 
 class TestConcurrentTelemetryWriter:
     def test_concurrent_snapshots_yield_a_valid_feed(self):
-        registry = MetricsRegistry(window_seconds=5.0)
+        registry = Registry()
         sink = io.StringIO()
         writer = TelemetryWriter(sink, source=registry, worker="stress")
 
@@ -63,7 +60,7 @@ class TestConcurrentTelemetryWriter:
         assert len(set(seqs)) == len(seqs)
 
     def test_concurrent_record_op_keeps_histogram_counts(self):
-        registry = MetricsRegistry(window_seconds=60.0)
+        registry = Registry()
         per_thread = 200
         barrier = threading.Barrier(THREADS)
 
@@ -78,13 +75,50 @@ class TestConcurrentTelemetryWriter:
         for thread in threads:
             thread.join()
 
-        snap = registry.snapshot()
+        snap = registry.live_record()
         assert snap["meters"]["srv.update"]["count"] == THREADS * per_thread
         histogram = snap["histograms"]["srv.update.seconds"]
         assert histogram["count"] == THREADS * per_thread
 
+    def test_sharded_counters_lose_no_increment_under_readers(self):
+        """Counters skip the lock (one shard per thread): with more
+        threads than cores, a tiny switch interval and a reader summing
+        the shards throughout, every increment must still land and every
+        read must be a monotone partial sum."""
+        registry = Registry()
+        per_thread = 5_000
+        barrier = threading.Barrier(THREADS + 1)
+        seen = []
+
+        def work() -> None:
+            barrier.wait()
+            for _ in range(per_thread):
+                registry.inc("hits")
+                registry.inc("pairs", 2)
+
+        def read() -> None:
+            barrier.wait()
+            for _ in range(200):
+                seen.append(registry.live_record()["counters"].get("hits", 0))
+
+        threads = [threading.Thread(target=work) for _ in range(THREADS)]
+        threads.append(threading.Thread(target=read))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.get("hits") == THREADS * per_thread
+        assert registry.counts["pairs"] == 2 * THREADS * per_thread
+        assert seen == sorted(seen)
+
     def test_close_without_snapshots_still_writes_meta_once(self):
-        registry = MetricsRegistry(window_seconds=5.0)
+        registry = Registry()
         sink = io.StringIO()
         writer = TelemetryWriter(sink, source=registry, worker="idle")
         writer.close()

@@ -197,6 +197,56 @@ class TestDispatch:
 
         run_service(scenario)
 
+    def test_stats_carries_live_telemetry(self):
+        """With telemetry live, ``stats`` answers the registry's live
+        record: the service's op meters next to the session's kernel
+        counters, in the shape the telemetry feed streams."""
+        from repro.obs import runtime
+
+        async def scenario(path, service):
+            client = await Client.connect(path)
+            await client.call("open", session="s", letters=3)
+            update = await client.call(
+                "update", session="s", program="(insert {A1 | A2})"
+            )
+            query = await client.call(
+                "query", session="s", mode="certain", formula="A1 | A2"
+            )
+            assert update["ok"] and query["ok"]
+            stats = await client.call("stats")
+            await client.close()
+            return stats["telemetry"]
+
+        runtime.reset()
+        runtime.enable()
+        try:
+            telemetry = run_service(scenario)
+        finally:
+            runtime.disable()
+            runtime.reset()
+        assert telemetry["meters"]["srv.update"]["count"] == 1
+        assert telemetry["meters"]["srv.query"]["count"] == 1
+        assert telemetry["counters"]["hlu.updates"] == 1
+        assert telemetry["counters"]["hlu.queries"] == 1
+        meta = {
+            "type": "meta",
+            "schema": runtime.FEED_SCHEMA_VERSION,
+            "window_seconds": runtime.WINDOW_SECONDS,
+            "slots": runtime.WINDOW_SLOTS,
+            "worker": "stats",
+        }
+        feed = json.dumps(meta) + "\n" + json.dumps(telemetry) + "\n"
+        assert runtime.validate_feed(feed) == []
+
+    def test_stats_telemetry_is_null_while_telemetry_is_off(self):
+        async def scenario(path, service):
+            client = await Client.connect(path)
+            stats = await client.call("stats")
+            await client.close()
+            return stats
+
+        assert run_service(scenario)["telemetry"] is None
+
 
 class TestInstanceSessions:
     def test_update_at_the_instance_limit_answers_promptly(self):

@@ -384,8 +384,9 @@ class TestWatchCommand:
         shell.execute("(insert {A1 | A2})")
         shell.execute("? A1")
         out = shell.execute(":watch")
-        assert "hlu.update" in out
-        assert "hlu.query" in out
+        assert "hlu.apply" in out
+        assert "hlu.is_certain" in out
+        assert "hlu.updates=1" in out  # the session's obs counter
         assert "ops/s" in out and "p50" in out and "p99" in out
 
     def test_watch_bad_interval_is_friendly(self, shell):
@@ -397,7 +398,7 @@ class TestWatchCommand:
         shell.execute(":watch")
         shell.execute("(insert {A1})")
         out = shell.execute(":watch 0.5")  # stdout is not a tty under pytest
-        assert "hlu.update" in out
+        assert "hlu.apply" in out
         assert "\x1b[" not in out
 
     def test_watch_suggested_for_typo(self, shell):
@@ -410,11 +411,12 @@ class TestWatchCommand:
 class TestTelemetryMain:
     def _write_feed(self, path):
         from repro.obs import runtime
+        from repro.obs.core import Registry
 
-        registry = runtime.MetricsRegistry(clock=lambda: 1.0)
-        registry.count("cache.hits", 3)
-        registry.count("cache.misses", 1)
-        registry.record_op("hlu.update", 0.002)
+        registry = Registry(clock=lambda: 1.0)
+        registry.inc("cache.logic.rclosure.hits", 3)
+        registry.inc("cache.logic.rclosure.misses", 1)
+        registry.record_op("hlu.apply", 0.002)
         writer = runtime.TelemetryWriter(str(path), source=registry, worker="E6")
         writer.write_snapshot(now=2.0)
         writer.close()
@@ -426,7 +428,7 @@ class TestTelemetryMain:
         out = capsys.readouterr().out
         assert "feed schema 1" in out
         assert "workers: E6" in out
-        assert "hlu.update" in out
+        assert "hlu.apply" in out
         assert "cache hit rate: 75%" in out
 
     def test_prometheus_rendering(self, tmp_path, capsys):
@@ -434,9 +436,9 @@ class TestTelemetryMain:
         self._write_feed(feed)
         assert main(["telemetry", str(feed), "--prometheus"]) == 0
         out = capsys.readouterr().out
-        assert "# TYPE repro_cache_hits_total counter" in out
-        assert "repro_cache_hits_total 3" in out
-        assert "# TYPE repro_hlu_update_seconds summary" in out
+        assert "# TYPE repro_cache_logic_rclosure_hits_total counter" in out
+        assert "repro_cache_logic_rclosure_hits_total 3" in out
+        assert "# TYPE repro_hlu_apply_seconds summary" in out
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "absent.jsonl"

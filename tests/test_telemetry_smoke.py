@@ -118,10 +118,37 @@ def test_telemetry_disabled_by_default_records_nothing(run_main, capsys):
     code = run_main(["E6"])
     capsys.readouterr()
     assert code == 0
-    snap = runtime.registry().snapshot()
-    assert snap["counters"] == {}
+    # The harness counts kernel work into the one registry while it
+    # measures, but without telemetry no op latency is recorded.
+    snap = runtime.registry().live_record()
     assert snap["meters"] == {}
-    assert snap["histograms"] == {}
+    assert not any(name.endswith(".seconds") for name in snap["histograms"])
+    assert not runtime.is_enabled()
+
+
+def test_telemetry_leaves_experiment_counters_unchanged(run_main, tmp_path, capsys):
+    """Telemetry counts into the same registry the counter gate reads, so
+    only the harness's snapshot/delta keeps it out of the per-experiment
+    counters: they must be identical with and without a feed."""
+    import json
+
+    plain = tmp_path / "plain.json"
+    live = tmp_path / "live.json"
+    assert run_main(["E6", "E7", "--bench-out", str(plain)]) == 0
+    assert run_main(
+        ["E6", "E7", "--bench-out", str(live),
+         "--telemetry-out", str(tmp_path / "feed.jsonl")]
+    ) == 0
+    capsys.readouterr()
+
+    def counters(path):
+        record = json.loads(path.read_text())
+        return {exp["ident"]: exp["counters"] for exp in record["experiments"]}
+
+    expected = counters(plain)
+    assert sorted(expected) == ["E6", "E7"]
+    assert all(expected.values()), "the experiments recorded no counters"
+    assert counters(live) == expected
 
 
 def test_telemetry_interval_must_be_positive(run_main, capsys):
