@@ -225,13 +225,14 @@ def _check_clause_literals(clause: Clause, max_index: int, vocab_size: int) -> N
 
 #: ``ClauseSet.merge`` scans when it adds at most this many new clauses
 #: and builds its literal index for more.  A scan costs one C-level pass
-#: over the base per new clause; the index costs Python-level filing and
-#: lookup passes over the base however few clauses are new.  Timed, the
-#: scan is the cheaper up to 32 new clauses on stream_large's merges and
-#: up to about 24 on random bases (DESIGN §1.9 has the figures).  Neither
-#: alone serves both stream_large, whose merges mostly add 1-4 clauses,
-#: and E16, whose largest add thousands.
-_MERGE_SCAN_MAX = 24
+#: over the base per new clause; the index costs a Python-level filing
+#: pass and a lookup pass over the base however few clauses are new.
+#: Timed on stream_large's merges, the two tie at 13-16 new clauses and
+#: the index is the cheaper from 17 on; on random reduced bases, from
+#: about 12 (DESIGN §1.9 has the figures).  Neither alone serves both
+#: stream_large, whose merges mostly add 1-4 clauses, and E16, whose
+#: largest add thousands.
+_MERGE_SCAN_MAX = 16
 
 
 def _filed_subset(clause: Clause, filed: dict[Literal, list[Clause]]) -> tuple[bool, int]:
@@ -568,6 +569,9 @@ class ClauseSet:
         through a literal index instead, which files each clause under
         one literal it contains, so a subset of a clause is found under
         one of that clause's literals; building it costs ``O(|self|)``.
+        The forward pass looks each new clause up among the base and the
+        kept new clauses; the backward pass looks each base clause up
+        among the kept new clauses alone.
         ``logic.reduce.merge_tests`` counts the clauses each check is
         handed (a check that stops at its first hit counts in full).
         """
@@ -601,7 +605,11 @@ class ClauseSet:
                 if not found:
                     survivors.append(clause)
                     filed.setdefault(min(clause), []).append(clause)
-            # No clause of this set subsumes another, so a hit is a survivor.
+            # No clause of this set subsumes another, so only a survivor
+            # can: the backward pass looks up the survivors alone.
+            filed = {}
+            for clause in survivors:
+                filed.setdefault(min(clause), []).append(clause)
             subsumed = set()
             for clause in base:
                 found, compared = _filed_subset(clause, filed)

@@ -58,7 +58,8 @@ def resolvent(clause_pos: Clause, clause_neg: Clause, index: int) -> Clause | No
     ``clause_pos`` must contain the positive literal and ``clause_neg`` the
     negative one; returns ``None`` when the resolvent does not exist or is
     tautologous (a tautologous resolvent carries no information and every
-    classical treatment discards it).
+    classical treatment discards it).  Counter-free: its callers count
+    the pairs it discards.
     """
     positive = make_literal(index, positive=True)
     negative = -positive
@@ -66,7 +67,6 @@ def resolvent(clause_pos: Clause, clause_neg: Clause, index: int) -> Clause | No
         return None
     merged = (clause_pos - {positive}) | (clause_neg - {negative})
     if clause_is_tautologous(merged):
-        obs.inc("logic.resolution.tautologies_discarded")
         return None
     return merged
 
@@ -104,6 +104,10 @@ def _saturate(
     index as the attribute); inputs are recorded in canonical order so
     ids are stable across runs.
 
+    Tautologous pairs are added to ``logic.resolution.tautologies_discarded``
+    with one increment per call (a partner always holds the complementary
+    literal, so ``resolvent`` returns ``None`` only for those).
+
     Returns ``(index, resolvents_formed, partner_hits, scan_skips)`` where
     ``partner_hits`` counts clauses served by index lookups and
     ``scan_skips`` counts the clauses a per-letter full scan would have
@@ -124,47 +128,64 @@ def _saturate(
     skips = 0
     if stop_on is not None and stop_on in occ:
         return occ, formed, hits, skips
-    while queue:
-        clause = queue.popleft()
-        rank = input_rank.get(clause)
-        for literal in clause:
-            if pivot_indices is not None and (abs(literal) - 1) not in pivot_indices:
-                continue
-            partners = occ.clauses_with(-literal)
-            if not partners:
-                skips += len(occ)
-                continue
-            index = abs(literal) - 1
-            hits += len(partners)
-            skips += len(occ) - len(partners)
-            # Copy: resolvents never contain the pivot letter (both inputs
-            # are tautology-free), so this bucket cannot grow mid-loop, but
-            # adding resolvents mutates sibling buckets of the same dict.
-            for partner in list(partners):
-                if rank is not None and input_rank.get(partner, rank) < rank:
+    tautologies = 0
+    try:
+        while queue:
+            clause = queue.popleft()
+            rank = input_rank.get(clause)
+            for literal in clause:
+                if pivot_indices is not None and (abs(literal) - 1) not in pivot_indices:
                     continue
-                if literal > 0:
-                    res = resolvent(clause, partner, index)
-                else:
-                    res = resolvent(partner, clause, index)
-                if res is not None and occ.add(res):
-                    queue.append(res)
-                    formed += 1
-                    if rec is not None:
-                        if literal > 0:
-                            parents = (rec.ensure(clause), rec.ensure(partner))
-                        else:
-                            parents = (rec.ensure(partner), rec.ensure(clause))
-                        rec.record(res, "resolve", parents, pivot=index)
-                    if res == stop_on:
-                        return occ, formed, hits, skips
-                    if max_clauses is not None and len(occ) > max_clauses:
-                        raise ClosureBudgetError(
-                            f"resolution closure exceeded {max_clauses} clauses",
-                            budget=max_clauses,
-                            formed=formed,
-                        )
-    return occ, formed, hits, skips
+                partners = occ.clauses_with(-literal)
+                if not partners:
+                    skips += len(occ)
+                    continue
+                index = abs(literal) - 1
+                hits += len(partners)
+                skips += len(occ) - len(partners)
+                # Copy: resolvents never contain the pivot letter (both inputs
+                # are tautology-free), so this bucket cannot grow mid-loop, but
+                # adding resolvents mutates sibling buckets of the same dict.
+                for partner in list(partners):
+                    if rank is not None and input_rank.get(partner, rank) < rank:
+                        continue
+                    if literal > 0:
+                        res = resolvent(clause, partner, index)
+                    else:
+                        res = resolvent(partner, clause, index)
+                    if res is None:
+                        tautologies += 1
+                    elif occ.add(res):
+                        queue.append(res)
+                        formed += 1
+                        if rec is not None:
+                            if literal > 0:
+                                parents = (rec.ensure(clause), rec.ensure(partner))
+                            else:
+                                parents = (rec.ensure(partner), rec.ensure(clause))
+                            rec.record(res, "resolve", parents, pivot=index)
+                        if res == stop_on:
+                            return occ, formed, hits, skips
+                        if max_clauses is not None and len(occ) > max_clauses:
+                            raise ClosureBudgetError(
+                                f"resolution closure exceeded {max_clauses} clauses",
+                                budget=max_clauses,
+                                formed=formed,
+                            )
+        return occ, formed, hits, skips
+    finally:
+        # One increment per call, on every exit (an early stop_on
+        # return and a budget overflow count what they discarded).
+        if tautologies:
+            obs.inc("logic.resolution.tautologies_discarded", tautologies)
+
+
+def _check_letter(clause_set: ClauseSet, index: int) -> None:
+    size = len(clause_set.vocabulary)
+    if not 0 <= index < size:
+        raise VocabularyError(
+            f"letter index {index} is outside the vocabulary (size {size})"
+        )
 
 
 def rclosure(clause_set: ClauseSet, indices: Iterable[int]) -> ClauseSet:
@@ -179,9 +200,13 @@ def rclosure(clause_set: ClauseSet, indices: Iterable[int]) -> ClauseSet:
     Memoised by the opt-in kernel cache (``repro.cache``) on the clause
     set's content fingerprint plus the pivot set: the closure is a pure
     function of immutable inputs, so a hit skips the saturation (and its
-    work counters) entirely.
+    work counters) entirely.  A pivot outside the vocabulary raises
+    :class:`VocabularyError`, as in :func:`eliminate_letter`, before the
+    cache is consulted.
     """
     pivot_indices = frozenset(indices)
+    for index in pivot_indices:
+        _check_letter(clause_set, index)
     if cache._ENABLED:
         key = (clause_set.vocabulary, clause_set.fingerprint, pivot_indices)
         hit = cache.lookup("logic.rclosure", key)
@@ -209,6 +234,19 @@ def drop(clause_set: ClauseSet, indices: Iterable[int]) -> ClauseSet:
     return clause_set.without_letters(indices)
 
 
+def _polarity_words(clause: Clause) -> tuple[Clause, int, int]:
+    """``clause`` with its positive-letter and negative-letter words: bit
+    ``|l|`` of the first is set for each positive literal ``l``, of the
+    second for each negative one."""
+    positive = negative = 0
+    for literal in clause:
+        if literal > 0:
+            positive |= 1 << literal
+        else:
+            negative |= 1 << -literal
+    return clause, positive, negative
+
+
 def eliminate_letter(clause_set: ClauseSet, index: int) -> ClauseSet:
     """One Davis-Putnam step: ``drop({A}, rclosure(Phi, {A}))``, reduced.
 
@@ -224,34 +262,45 @@ def eliminate_letter(clause_set: ClauseSet, index: int) -> ClauseSet:
     mark, which the rest inherits).  A letter that does not occur leaves
     ``Phi.reduce()``: ``Phi`` itself when marked.
 
+    Each ``A``-clause is stripped of ``A`` and given its polarity words
+    once per step.  A pair is tautologous exactly when one side has a
+    letter positively that the other has negatively (neither side is
+    tautologous), i.e. when ``a_pos & b_neg | a_neg & b_pos`` is nonzero;
+    only the other pairs build their resolvent ``a | b``.  This is the
+    set :func:`resolvent` gives pair by pair.
+
     Distinct resolvents not already in ``Phi`` are counted as
-    ``logic.resolution.resolvents_formed``, exactly as :func:`rclosure`
-    counts them.
+    ``logic.resolution.resolvents_formed`` and tautologous pairs as
+    ``logic.resolution.tautologies_discarded``, exactly as :func:`rclosure`
+    counts them, with one increment each per step.
     """
-    vocabulary = clause_set.vocabulary
-    if index >= len(vocabulary):
-        raise VocabularyError(
-            f"letter index {index} is outside the vocabulary (size {len(vocabulary)})"
-        )
-    positive = make_literal(index)
-    with_positive: list[Clause] = []
-    with_negative: list[Clause] = []
+    _check_letter(clause_set, index)
+    positive = index + 1
+    with_positive: list[tuple[Clause, int, int]] = []
+    with_negative: list[tuple[Clause, int, int]] = []
     rest: list[Clause] = []
     for clause in clause_set.clauses:
         if positive in clause:
-            with_positive.append(clause)
+            with_positive.append(_polarity_words(clause - {positive}))
         elif -positive in clause:
-            with_negative.append(clause)
+            with_negative.append(_polarity_words(clause - {-positive}))
         else:
             rest.append(clause)
     if not with_positive and not with_negative:
         return clause_set.reduce()
-    resolvents = {
-        merged
-        for clause_pos in with_positive
-        for clause_neg in with_negative
-        if (merged := resolvent(clause_pos, clause_neg, index)) is not None
-    }
+    resolvents: set[Clause] = set()
+    resolved = 0
+    for a, a_pos, a_neg in with_positive:
+        formed_with_a = [
+            a | b for b, b_pos, b_neg in with_negative
+            if not (a_pos & b_neg or a_neg & b_pos)
+        ]
+        resolved += len(formed_with_a)
+        resolvents.update(formed_with_a)
+    tautologies = len(with_positive) * len(with_negative) - resolved
+    if tautologies:
+        obs.inc("logic.resolution.tautologies_discarded", tautologies)
+    vocabulary = clause_set.vocabulary
     kept = ClauseSet._trusted(vocabulary, frozenset(rest), reduced=clause_set.known_reduced)
     formed = len(resolvents.difference(kept.clauses))
     if formed:

@@ -14,7 +14,15 @@ import random
 from collections import Counter
 
 from repro.blu.clausal_mask import clausal_mask
-from repro.logic.clauses import EMPTY_CLAUSE, Clause, ClauseSet, clause_sort_key, make_literal
+from repro.logic import truthtable
+from repro.logic.clauses import (
+    _MERGE_SCAN_MAX,
+    EMPTY_CLAUSE,
+    Clause,
+    ClauseSet,
+    clause_sort_key,
+    make_literal,
+)
 from repro.logic.propositions import Vocabulary
 from repro.logic.resolution import (
     eliminate_letter,
@@ -26,7 +34,8 @@ from repro.logic.resolution import (
 from repro.obs import core as obs
 from repro.logic import sat
 from repro.logic.sat import count_models, count_models_exact, is_satisfiable, solve
-from repro.logic.semantics import models_of_clauses
+from repro.logic.semantics import clause_set_table, models_of_clauses
+from repro.workloads.generators import random_clause
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +149,28 @@ def _reference_eliminate(clause_set: ClauseSet, index: int) -> ClauseSet:
     return _reference_reduce(ClauseSet(clause_set.vocabulary, kept))
 
 
-def _resolvents_formed(thunk):
+def _resolution_counts(thunk):
     """Run ``thunk`` with the obs counters on; return its result and the
-    ``logic.resolution.resolvents_formed`` count it made."""
+    ``(resolvents_formed, tautologies_discarded)`` counts it made."""
     obs.enable()
     obs.reset()
     try:
         result = thunk()
-        return result, obs.counters().snapshot().get(
-            "logic.resolution.resolvents_formed", 0
-        )
+        counts = obs.counters().snapshot()
     finally:
         obs.reset()
         obs.disable()
+    return result, (
+        counts.get("logic.resolution.resolvents_formed", 0),
+        counts.get("logic.resolution.tautologies_discarded", 0),
+    )
+
+
+def _resolvents_formed(thunk):
+    """Run ``thunk`` with the obs counters on; return its result and the
+    ``logic.resolution.resolvents_formed`` count it made."""
+    result, (formed, _) = _resolution_counts(thunk)
+    return result, formed
 
 
 def _maybe_marked(rng: random.Random, clause_set: ClauseSet) -> ClauseSet:
@@ -253,6 +271,75 @@ class TestEliminateLetterDifferential:
                     c for c in closed.clauses if literal not in c and -literal not in c
                 ])
             assert clausal_mask(cs, letters, simplify=False) == expected, f"case {case}"
+
+
+def _stream_session(rng: random.Random, letters: int):
+    """One session grown the way perfbench's stream_large grows its states:
+    40 distinct width-3 clauses asserted at once, then three blocks of 7
+    asserts and 2 inserts of width-3 clauses in shuffled order.  Yields
+    ``(state, masked letters)`` before each insert's mask, which forgets
+    1-3 of the inserted clause's letters."""
+    vocab = Vocabulary.standard(letters)
+    preload: set[Clause] = set()
+    while len(preload) < 40:
+        preload.add(random_clause(rng, letters, 3))
+    state = ClauseSet.tautology(vocab).merge(ClauseSet(vocab, preload))
+    for _ in range(3):
+        kinds = ["assert"] * 7 + ["insert"] * 2
+        rng.shuffle(kinds)
+        for kind in kinds:
+            clause = random_clause(rng, letters, 3)
+            if kind == "insert":
+                clause_letters = sorted(abs(literal) - 1 for literal in clause)
+                masked = rng.sample(clause_letters, rng.randint(1, 3))
+                yield state, masked
+                state = clausal_mask(state, masked)
+            state = state.merge(ClauseSet(vocab, [clause]))
+
+
+class TestEliminateLetterStreamRegime:
+    """Davis-Putnam steps on states grown like stream_large's: 40-200
+    clauses over 24 letters, whose steps form hundreds of resolvents of
+    up to 9 literals, so the indexed merge runs (the random sets above
+    rarely reach it)."""
+
+    def test_steps_match_reference_and_rclosure_counts(self):
+        rng = random.Random(1987_24)
+        steps = indexed = 0
+        for session in range(10):
+            for state, masked in _stream_session(rng, 24):
+                current = state
+                for index in sorted(masked):
+                    result, counts = _resolution_counts(
+                        lambda: eliminate_letter(current, index)
+                    )
+                    where = f"session {session}, letter {index}"
+                    assert result == _reference_eliminate(current, index), where
+                    assert result.known_reduced, where
+                    _, closure_counts = _resolution_counts(
+                        lambda: rclosure(current, [index])
+                    )
+                    assert counts == closure_counts, where
+                    steps += 1
+                    # resolvents_formed counts the new clauses merged in.
+                    indexed += counts[0] > _MERGE_SCAN_MAX
+                    current = result
+        assert steps > 100
+        assert indexed > 20
+
+    def test_mask_matches_truth_table_saturation(self):
+        """Thm 2.3.6(a) without resolution: the models of the mask are the
+        models of the state saturated on the masked letters."""
+        rng = random.Random(1987_16)
+        masks = 0
+        for session in range(6):
+            letters = rng.randint(16, 20)
+            for state, masked in _stream_session(rng, letters):
+                expected = truthtable.saturate(clause_set_table(state), masked, letters)
+                masked_table = clause_set_table(clausal_mask(state, masked))
+                assert masked_table == expected, f"session {session}: {state} on {masked}"
+                masks += 1
+        assert masks == 36
 
 
 class TestRclosureDifferential:

@@ -40,6 +40,21 @@ class TestResolvent:
         neg = clause_of([make_literal(0, False), make_literal(2)])
         assert resolvent(pos, neg, 0) == clause_of([make_literal(2)])
 
+    def test_counts_nothing(self):
+        # Its callers count the pairs it discards, once per call of theirs.
+        from repro.obs import core as obs
+
+        pos = clause_of([make_literal(0), make_literal(1)])
+        neg = clause_of([make_literal(0, False), make_literal(1, False)])
+        obs.enable()
+        obs.reset()
+        try:
+            assert resolvent(pos, neg, 0) is None
+            assert obs.counters().snapshot() == {}
+        finally:
+            obs.reset()
+            obs.disable()
+
 
 class TestRclosure:
     def test_adds_resolvents_on_listed_letters_only(self):
@@ -63,6 +78,24 @@ class TestRclosure:
     def test_closure_preserves_models(self):
         cs = ClauseSet.from_strs(VOCAB, ["A1 | A2", "~A1 | A3", "~A2 | A3"])
         assert models_of_clauses(rclosure(cs, [0, 1])) == models_of_clauses(cs)
+
+    def test_rejects_letters_outside_the_vocabulary(self):
+        # As eliminate_letter does; the check comes before the memo-cache,
+        # so no closure is stored under a letter that does not exist.
+        from repro.cache import core as cache
+        from repro.errors import VocabularyError
+
+        cs = ClauseSet.from_strs(VOCAB, ["A1 | A2", "~A1 | A3"])
+        cache.clear_caches()
+        cache.enable_cache()
+        try:
+            for indices in ([-1], [5], [0, 5]):
+                with pytest.raises(VocabularyError):
+                    rclosure(cs, indices)
+            assert "logic.rclosure" not in cache.cache_stats()
+        finally:
+            cache.disable_cache()
+            cache.clear_caches()
 
 
 class TestRclosurePairSchedule:
@@ -128,6 +161,31 @@ class TestEliminateLetter:
                 projected = eliminate_letter(cs, index)
                 expected = saturate_on(models_of_clauses(cs), {index})
                 assert models_of_clauses(projected) == expected
+
+    def test_counts_once_per_step(self, monkeypatch):
+        # Two tautologous pairs and two resolvents: one increment of each
+        # counter per step, as rclosure's saturation makes per call.
+        from repro.obs import core as obs
+
+        calls = []
+        monkeypatch.setattr(
+            obs._REGISTRY, "inc", lambda name, amount=1: calls.append((name, amount))
+        )
+        cs = ClauseSet.from_strs(
+            VOCAB, ["A1 | A2", "A1 | ~A3", "~A1 | ~A2", "~A1 | A3 | A4"]
+        )
+        expected = [
+            ("logic.resolution.resolvents_formed", 2),
+            ("logic.resolution.tautologies_discarded", 2),
+        ]
+        obs.enable()
+        try:
+            for kernel in (lambda: eliminate_letter(cs, 0), lambda: rclosure(cs, [0])):
+                calls.clear()
+                kernel()
+                assert sorted(c for c in calls if c[0] in dict(expected)) == expected
+        finally:
+            obs.disable()
 
     def test_eliminated_letter_absent(self):
         cs = ClauseSet.from_strs(VOCAB, ["A1 | A2", "~A1 | A3"])
